@@ -1,5 +1,6 @@
 """Verdict lattice, alpha bounds, Fermat criterion, classification traces."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from wfano import (
     ALPHA_STAR,
     COVER_ASSUMPTION,
     MEMBER_ANY,
+    MEMBER_CLASSES,
     MEMBER_FERMAT,
     MEMBER_GENERAL,
     EnumerationQuery,
@@ -363,6 +365,21 @@ class TestReportJson:
         assert payload["aut_finite"] is None
         assert payload["member_class"] == "any_quasi_smooth"
         assert payload["verdict"] == "unknown"
+
+    def test_fourfold_reports_pinned(self, fourfold_catalog):
+        # every fourfold in every member class, plus the support-planner path:
+        # any change to a verdict, alpha bound, finiteness flag or trace line
+        # changes the digest
+        lines = [
+            json.dumps(report_to_json(classify(ws, member)))
+            for ws in fourfold_catalog.systems
+            for member in MEMBER_CLASSES
+        ]
+        support = load_support(FIXTURES / "x60_p3454_15_30.json")
+        lines.append(json.dumps(report_to_json(classify(X60_SYSTEM, MEMBER_ANY, support=support))))
+        assert len(lines) == 3 * 661 + 1
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == "777e235cb7135dde276f2ac929156c61a22a408a2948ad5d31c7e4164579ec21"
 
 
 class TestBatch:
