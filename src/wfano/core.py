@@ -127,13 +127,32 @@ def validate(ws: WeightSystem, index: int) -> ValidationReport:
     )
 
 
+def precondition_errors(ws: WeightSystem, index_one: bool = False) -> tuple[str, ...]:
+    """The standing hypotheses ws fails, one message each; empty when all hold.
+
+    Always required: positive index, every weight dividing the degree, and no
+    linear cone.  With index_one, also index exactly 1 and well-formedness
+    (the hypotheses of the alpha bound and the threshold inequalities).
+    """
+    errors = []
+    if ws.index < 1:
+        errors.append(f"index {ws.index} is not positive (not Fano)")
+    elif index_one and ws.index != 1:
+        errors.append(f"index {ws.index} != 1")
+    if not ws.divisible:
+        errors.append("some weight does not divide the degree")
+    if index_one and not ws.well_formed:
+        errors.append("not well-formed")
+    if ws.is_linear_cone:
+        errors.append("degree equals a weight (linear cone)")
+    return tuple(errors)
+
+
 @dataclass(frozen=True)
 class StarCase:
     """Detection of the special shape d = 2a with weights containing 2 and a.
 
-    holds is true iff a = d/2 >= 3 and the weight multiset contains 2 and a at
-    distinct positions (for a = 2 that means the weight 2 twice; the shape
-    cannot occur at index 1, but the check stays literal and total).
+    holds is true iff a = d/2 >= 3 and the weights contain both 2 and a.
     """
 
     holds: bool
@@ -145,10 +164,7 @@ def star_case(ws: WeightSystem) -> StarCase:
     if d % 2 != 0:
         return StarCase(False)
     a = d // 2
-    if a < 3:
-        return StarCase(False)
-    counts_ok = (2 in ws.weights and a in ws.weights) if a != 2 else ws.weights.count(2) >= 2
-    if counts_ok:
+    if a >= 3 and 2 in ws.weights and a in ws.weights:
         return StarCase(True, a)
     return StarCase(False)
 
@@ -159,6 +175,26 @@ def threshold_c(ws: WeightSystem) -> Fraction:
     if star_case(ws).holds:
         return Fraction(d - 2, d)
     return Fraction(d - 1, d)
+
+
+SHAPE_ALL_ONES = "all_ones"
+SHAPE_STAR = "star"
+
+
+def boundary_shape(ws: WeightSystem) -> str | None:
+    """Which index-1 shape attaining c = (n-1)/n ws has, if any.
+
+    SHAPE_ALL_ONES is (1,...,1 : n); SHAPE_STAR is (1,...,1,2,a : 2a) with
+    a >= 3, the star case.  None for every other system.
+    """
+    if ws.index != 1:
+        return None
+    if ws.weights == (1,) * ws.num_weights:
+        return SHAPE_ALL_ONES
+    star = star_case(ws)
+    if star.holds and ws.weights == (1,) * (ws.num_weights - 2) + (2, star.a):
+        return SHAPE_STAR
+    return None
 
 
 # rule tags for the per-pair inequality routing
@@ -220,30 +256,15 @@ class InequalityReport:
         return not self.precondition_errors and not self.failures and self.c_bound_ok
 
 
-def _equality_shape_ok(ws: WeightSystem) -> bool:
-    """Shapes attaining c = (n-1)/n: (1,...,1 : n) or (1,...,1,2,a : 2a)."""
-    if all(a == 1 for a in ws.weights):
-        return ws.degree == ws.n
-    if len(ws.weights) >= 2 and all(a == 1 for a in ws.weights[:-2]):
-        a = ws.weights[-1]
-        return ws.weights[-2] == 2 and ws.degree == 2 * a
-    return False
-
-
 def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
     """Evaluate the pairwise threshold inequalities in exact rational arithmetic.
 
-    Preconditions (reported, not skipped): well-formed, a_i | d, index 1.
+    Preconditions (reported, not skipped): those of precondition_errors
+    with index 1 required.
     """
-    errors: list[str] = []
-    if not ws.well_formed:
-        errors.append("not well-formed")
-    if not ws.divisible:
-        errors.append("some weight does not divide the degree")
-    if ws.index != 1:
-        errors.append(f"index is {ws.index}, expected 1")
+    errors = precondition_errors(ws, index_one=True)
     if errors:
-        return InequalityReport(ws, tuple(errors), ())
+        return InequalityReport(ws, errors, ())
 
     d = ws.degree
     star = star_case(ws)
@@ -274,7 +295,7 @@ def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
         checks=tuple(checks),
         c_value=c,
         c_lower_bound=Fraction(n - 1, n),
-        c_equality_shape_ok=_equality_shape_ok(ws) if c == Fraction(n - 1, n) else None,
+        c_equality_shape_ok=boundary_shape(ws) is not None if c == Fraction(n - 1, n) else None,
     )
 
 

@@ -96,6 +96,14 @@ class Support:
         """Canonical ascending weight system of the ambient."""
         return WeightSystem.of(self.weights, self.degree)
 
+    def to_json(self) -> dict:
+        """The record that load_support reads back and save_support writes."""
+        return {
+            "weights": list(self.weights),
+            "degree": self.degree,
+            "monomials": [list(m.exponents) for m in self.monomials],
+        }
+
 
 def load_support(path: str | Path) -> Support:
     text = Path(path).read_text(encoding="utf-8")
@@ -110,12 +118,7 @@ def load_support(path: str | Path) -> Support:
 
 
 def save_support(support: Support, path: str | Path) -> None:
-    payload = {
-        "weights": list(support.weights),
-        "degree": support.degree,
-        "monomials": [list(m.exponents) for m in support.monomials],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(support.to_json(), indent=2) + "\n", encoding="utf-8")
 
 
 def fermat_support(ws: WeightSystem) -> Support:
@@ -207,13 +210,22 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
             if remainder < 0 or not semigroup_representable(remainder, combo):
                 continue
             coeffs = semigroup_decomposition(remainder, combo)
-            assert coeffs is not None
+            if coeffs is None:
+                raise AssertionError(f"representable remainder {remainder} has no decomposition")
             exps = [0] * len(weights)
             exps[i] = 1
             for value, m in zip(combo, coeffs):
                 exps[lowest_position[value]] = 1 + m
             return UniversalStarCheck(False, Monomial(tuple(exps)))
     return UniversalStarCheck(True)
+
+
+def _cover_permutation(weights: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Weights after covering position i (a_i -> 1), re-sorted, and perm[new] = old."""
+    raw = list(weights)
+    raw[i] = 1
+    perm = tuple(sorted(range(len(raw)), key=lambda j: (raw[j], j)))
+    return tuple(raw[p] for p in perm), perm
 
 
 def apply_cover(support: Support, i: int) -> tuple[Support, tuple[int, ...]]:
@@ -225,10 +237,7 @@ def apply_cover(support: Support, i: int) -> tuple[Support, tuple[int, ...]]:
     a_i = support.weights[i]
     if a_i <= 1:
         raise ValueError(f"cover at index {i} needs weight > 1, got {a_i}")
-    raw_weights = list(support.weights)
-    raw_weights[i] = 1
-    perm = tuple(sorted(range(len(raw_weights)), key=lambda j: (raw_weights[j], j)))
-    new_weights = tuple(raw_weights[p] for p in perm)
+    new_weights, perm = _cover_permutation(support.weights, i)
     rows = []
     for mono in support.monomials:
         raw = list(mono.exponents)
@@ -303,16 +312,8 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
     """
     current = support
     check = star_condition(current)
-    if not check.ok:
-        return CoverPlan(
-            steps=(),
-            ok=False,
-            witness=check.monomial,
-            witness_index=check.index,
-            witness_weights=current.weights,
-        )
     steps: list[CoverStep] = []
-    while any(a > 1 for a in current.weights):
+    while check.ok and any(a > 1 for a in current.weights):
         i = min(
             (j for j, a in enumerate(current.weights) if a > 1),
             key=lambda j: (current.weights[j], j),
@@ -323,7 +324,8 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
             positions = [j for j, k in enumerate(mono.exponents) if j != i and k > 0]
             gens = tuple(current.weights[j] for j in positions)
             coeffs = semigroup_decomposition(current.weights[i], gens)
-            assert coeffs is not None  # star condition was just verified
+            if coeffs is None:  # the star condition was just verified
+                raise AssertionError("star condition holds but the linear monomial does not decompose")
             exps = [0] * len(current.weights)
             for j, m in zip(positions, coeffs):
                 exps[j] += m
@@ -334,24 +336,18 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
             current = substitute(current, i, replacement)
             check = star_condition(current)
             if not check.ok:
-                return CoverPlan(
-                    steps=tuple(steps),
-                    ok=False,
-                    witness=check.monomial,
-                    witness_index=check.index,
-                    witness_weights=current.weights,
-                )
+                break
         current, perm = apply_cover(current, i)
         steps.append(CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=perm))
         check = star_condition(current)
-        if not check.ok:
-            return CoverPlan(
-                steps=tuple(steps),
-                ok=False,
-                witness=check.monomial,
-                witness_index=check.index,
-                witness_weights=current.weights,
-            )
+    if not check.ok:
+        return CoverPlan(
+            steps=tuple(steps),
+            ok=False,
+            witness=check.monomial,
+            witness_index=check.index,
+            witness_weights=current.weights,
+        )
     return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
 
 
@@ -378,7 +374,8 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
             if first_blocked is None:
                 first_blocked = (i, result)
         if chosen is None:
-            assert first_blocked is not None
+            if first_blocked is None:
+                raise AssertionError("no position of weight above 1 was examined")
             blocked_index, blocked = first_blocked
             return CoverPlan(
                 steps=tuple(steps),
@@ -387,11 +384,9 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
                 witness_index=blocked_index,
                 witness_weights=current.weights,
             )
-        raw = list(current.weights)
-        raw[chosen] = 1
-        perm = tuple(sorted(range(len(raw)), key=lambda j: (raw[j], j)))
+        new_weights, perm = _cover_permutation(current.weights, chosen)
         steps.append(CoverStep(kind="cover", index=chosen, note=NOTE_COVER, permutation=perm))
-        current = WeightSystem(tuple(raw[p] for p in perm), current.degree)
+        current = WeightSystem(new_weights, current.degree)
     return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
 
 
@@ -435,5 +430,6 @@ def move_coordinate_points(support: Support) -> Support:
             current.weights[j] // a_i if t == i else 0 for t in range(len(support.weights))
         )
         current = substitute(current, j, Monomial(exps))
-        assert any(mono.exponents == pure for mono in current.monomials)
+        if not any(mono.exponents == pure for mono in current.monomials):
+            raise AssertionError(f"substitution at variable {j} did not create the pure power of {i}")
     return current

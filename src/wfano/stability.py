@@ -15,13 +15,21 @@ instability for negative margins.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from .core import WeightSystem, star_case
+from .core import (
+    SHAPE_ALL_ONES,
+    SHAPE_STAR,
+    WeightSystem,
+    boundary_shape,
+    precondition_errors,
+    star_case,
+    threshold_c,
+)
 from .enumeration import EnumerationResult
-from .monomial import Support, plan_cover_for_support, plan_cover_universal
+from .monomial import CoverPlan, Support, plan_cover_for_support, plan_cover_universal
 
 MEMBER_FERMAT = "fermat"
 MEMBER_GENERAL = "general"
@@ -94,30 +102,21 @@ def alpha_lower_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | N
     """Threshold bound for index-1 systems whose members carry a smooth cover.
 
     Returns None when cover_available is false: without the cover the bound
-    is conditional and nothing is claimed.  The double-weight case d = 2a
-    with weights 2 and a present gives (d-2)/d; otherwise the bound is
-    (d-1)/d, upgraded to 1 when every weight is at least 2.
+    is conditional and nothing is claimed.  The bound is the threshold
+    constant threshold_c: (d-2)/d in the star case, (d-1)/d otherwise,
+    upgraded to 1 outside the star case when every weight is at least 2.
     """
-    problems = []
-    if ws.index != 1:
-        problems.append(f"index {ws.index} != 1")
-    if not ws.divisible:
-        problems.append("some weight does not divide the degree")
-    if not ws.well_formed:
-        problems.append("not well-formed")
-    if ws.is_linear_cone:
-        problems.append("degree equals a weight (linear cone)")
-    if problems:
-        raise ValueError(f"alpha bound undefined for {ws.render()}: " + "; ".join(problems))
+    errors = precondition_errors(ws, index_one=True)
+    if errors:
+        raise ValueError(f"alpha bound undefined for {ws.render()}: " + "; ".join(errors))
     if not cover_available:
         return None
-    d = ws.degree
     assumptions = (COVER_ASSUMPTION,)
     if star_case(ws).holds:
-        return AlphaBound(Fraction(d - 2, d), ALPHA_STAR, assumptions)
+        return AlphaBound(threshold_c(ws), ALPHA_STAR, assumptions)
     if ws.weights[0] >= 2:
         return AlphaBound(Fraction(1), ALPHA_ALL_GE2, assumptions)
-    return AlphaBound(Fraction(d - 1, d), ALPHA_GENERIC, assumptions)
+    return AlphaBound(threshold_c(ws), ALPHA_GENERIC, assumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +169,9 @@ def fermat_k_stability(ws: WeightSystem) -> FermatStability:
     group is known finite), zero gives strict K-semistability, negative gives
     K-instability.  This is the one criterion here that is two-sided.
     """
-    problems = []
-    if not ws.divisible:
-        problems.append("some weight does not divide the degree")
-    if ws.is_linear_cone:
-        problems.append("degree equals a weight (linear cone)")
-    if ws.index < 1:
-        problems.append(f"index {ws.index} is not positive")
-    if problems:
-        raise ValueError(f"Fermat criterion undefined for {ws.render()}: " + "; ".join(problems))
+    errors = precondition_errors(ws)
+    if errors:
+        raise ValueError(f"Fermat criterion undefined for {ws.render()}: " + "; ".join(errors))
     margin = ws.n * ws.weights[0] - ws.index
     finite = aut_finite(ws.weights, (ws.degree,))
     if margin > 0:
@@ -196,16 +189,22 @@ def fermat_k_stability(ws: WeightSystem) -> FermatStability:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One applied criterion; conclusion and verdict recompute from inputs."""
+    """One applied criterion; conclusion and verdict recompute from inputs.
+
+    payload is the fact the evaluator computed for classify to read (a
+    CoverPlan, an AlphaBound or None, a finiteness flag); it is not compared.
+    """
 
     criterion: str
     cite: str
     inputs: dict
     conclusion: str
     verdict: Verdict | None = None
+    payload: Any = field(default=None, compare=False, repr=False)
 
 
-Evaluator = Callable[[dict], tuple[str, Verdict | None]]
+# an evaluator maps recorded inputs to (conclusion, verdict, payload)
+Evaluator = Callable[[dict], tuple[str, Verdict | None, Any]]
 
 _EVALUATORS: dict[str, Evaluator] = {}
 _CITES: dict[str, str] = {}
@@ -225,15 +224,16 @@ def registered_criteria() -> tuple[str, ...]:
 
 
 def make_entry(criterion: str, inputs: dict) -> TraceEntry:
-    conclusion, verdict = _EVALUATORS[criterion](inputs)
-    return TraceEntry(criterion, _CITES[criterion], dict(inputs), conclusion, verdict)
+    conclusion, verdict, payload = _EVALUATORS[criterion](inputs)
+    return TraceEntry(criterion, _CITES[criterion], dict(inputs), conclusion, verdict, payload)
 
 
 def recompute_entry(entry: TraceEntry) -> tuple[str, Verdict | None]:
-    """Re-run the entry's criterion on its recorded inputs."""
+    """Re-run the entry's criterion on its recorded inputs; the payload is dropped."""
     if entry.criterion not in _EVALUATORS:
         raise KeyError(f"unregistered criterion {entry.criterion!r}")
-    return _EVALUATORS[entry.criterion](entry.inputs)
+    conclusion, verdict, _ = _EVALUATORS[entry.criterion](entry.inputs)
+    return conclusion, verdict
 
 
 CRIT_INDEX_VS_DIM = "index_vs_dimension"
@@ -255,16 +255,18 @@ def _ws_from(inputs: dict) -> WeightSystem:
     CRIT_INDEX_VS_DIM,
     "a general member is K-stable when the Fano index is smaller than the dimension",
 )
-def _eval_index_vs_dimension(inputs: dict) -> tuple[str, Verdict | None]:
+def _eval_index_vs_dimension(inputs: dict) -> tuple[str, Verdict | None, None]:
     ws = _ws_from(inputs)
     if ws.index < ws.dim:
         return (
             f"Fano index {ws.index} is smaller than the dimension {ws.dim}; "
             "a general member is K-stable",
             Verdict.K_STABLE,
+            None,
         )
     return (
         f"Fano index {ws.index} is not smaller than the dimension {ws.dim}; criterion silent",
+        None,
         None,
     )
 
@@ -274,7 +276,7 @@ def _eval_index_vs_dimension(inputs: dict) -> tuple[str, Verdict | None]:
     "the automorphism group is finite when the degree sum exceeds the sum of the "
     "largest c+1 weights, or when 0 < index < n - c",
 )
-def _eval_aut_finiteness(inputs: dict) -> tuple[str, Verdict | None]:
+def _eval_aut_finiteness(inputs: dict) -> tuple[str, Verdict | None, bool]:
     weights = tuple(inputs["weights"])
     degrees = tuple(inputs["multidegree"])
     finite = aut_finite(weights, degrees)
@@ -283,16 +285,15 @@ def _eval_aut_finiteness(inputs: dict) -> tuple[str, Verdict | None]:
     total = sum(degrees)
     top = sum(weights[-(c + 1):])
     index = sum(weights) - total
+    # aut_finite decided; the reason only names which of its branches applied
+    if not finite:
+        reason = f"degree sum {total} <= {top} and index {index} is not in (0, {n - c})"
+        return (f"finiteness of the automorphism group is not decided: {reason}", None, finite)
     if total > top:
         reason = f"degree sum {total} exceeds {top}, the sum of the {c + 1} largest weights"
-    elif 0 < index < n - c:
-        reason = f"index {index} lies strictly between 0 and n - c = {n - c}"
     else:
-        reason = f"degree sum {total} <= {top} and index {index} is not in (0, {n - c})"
-    assert finite == (total > top or 0 < index < n - c)
-    if finite:
-        return (f"automorphism group is finite: {reason}", None)
-    return (f"finiteness of the automorphism group is not decided: {reason}", None)
+        reason = f"index {index} lies strictly between 0 and n - c = {n - c}"
+    return (f"automorphism group is finite: {reason}", None, finite)
 
 
 @register_criterion(
@@ -301,7 +302,7 @@ def _eval_aut_finiteness(inputs: dict) -> tuple[str, Verdict | None]:
     "the smallest weight, strictly K-semistable at equality, K-unstable beyond; "
     "K-polystable plus a finite automorphism group gives K-stable",
 )
-def _eval_fermat_margin(inputs: dict) -> tuple[str, Verdict | None]:
+def _eval_fermat_margin(inputs: dict) -> tuple[str, Verdict | None, None]:
     ws = _ws_from(inputs)
     result = fermat_k_stability(ws)
     finiteness = "finite" if result.aut_finite else "not decided"
@@ -309,6 +310,7 @@ def _eval_fermat_margin(inputs: dict) -> tuple[str, Verdict | None]:
         f"margin n*a_0 - I = {ws.n}*{ws.weights[0]} - {ws.index} = {result.margin}; "
         f"automorphism group {finiteness}; the Fermat member is {result.verdict.value}",
         result.verdict,
+        None,
     )
 
 
@@ -317,7 +319,7 @@ def _eval_fermat_margin(inputs: dict) -> tuple[str, Verdict | None]:
     "iterated cyclic covers over the recorded coordinates produce a smooth finite "
     "cover of a quasi-smooth member",
 )
-def _eval_smooth_cover(inputs: dict) -> tuple[str, Verdict | None]:
+def _eval_smooth_cover(inputs: dict) -> tuple[str, Verdict | None, CoverPlan]:
     if inputs["mode"] == "universal":
         plan = plan_cover_universal(_ws_from(inputs))
         scope = "every quasi-smooth member"
@@ -330,12 +332,14 @@ def _eval_smooth_cover(inputs: dict) -> tuple[str, Verdict | None]:
             f"smooth cover found for {scope}: {plan.cover_count} cover step(s), "
             f"final weights {list(plan.final_weights)}",
             None,
+            plan,
         )
     return (
         f"no smooth cover found for {scope}: monomial {list(plan.witness.exponents)} "
         f"at position {plan.witness_index} blocks the semigroup condition over "
         f"weights {list(plan.witness_weights)}",
         None,
+        plan,
     )
 
 
@@ -345,15 +349,16 @@ def _eval_smooth_cover(inputs: dict) -> tuple[str, Verdict | None]:
     "double-weight case, (d-1)/d otherwise, and at least 1 when every weight "
     "is at least 2",
 )
-def _eval_alpha_bound(inputs: dict) -> tuple[str, Verdict | None]:
+def _eval_alpha_bound(inputs: dict) -> tuple[str, Verdict | None, AlphaBound | None]:
     bound = alpha_lower_bound(_ws_from(inputs), cover_available=inputs["cover_available"])
     if bound is None:
-        return ("alpha bound unavailable without a smooth cover", None)
+        return ("alpha bound unavailable without a smooth cover", None, None)
     return (
         f"alpha >= {bound.value} (case {bound.case_tag}; assuming: "
         + "; ".join(bound.assumptions)
         + ")",
         None,
+        bound,
     )
 
 
@@ -361,7 +366,7 @@ def _eval_alpha_bound(inputs: dict) -> tuple[str, Verdict | None]:
     CRIT_ALPHA_THRESHOLD,
     "a Fano variety whose alpha invariant exceeds dim/(dim+1) is K-stable",
 )
-def _eval_alpha_above_threshold(inputs: dict) -> tuple[str, Verdict | None]:
+def _eval_alpha_above_threshold(inputs: dict) -> tuple[str, Verdict | None, None]:
     ws = _ws_from(inputs)
     bound = alpha_lower_bound(ws, cover_available=True)
     threshold = Fraction(ws.dim, ws.dim + 1)
@@ -369,38 +374,30 @@ def _eval_alpha_above_threshold(inputs: dict) -> tuple[str, Verdict | None]:
         return (
             f"alpha >= {bound.value} > dim/(dim+1) = {threshold}; the member is K-stable",
             Verdict.K_STABLE,
+            None,
         )
     return (
         f"alpha bound {bound.value} does not exceed dim/(dim+1) = {threshold}; criterion silent",
         None,
+        None,
     )
-
-
-def _is_all_ones(ws: WeightSystem) -> bool:
-    return ws.weights == (1,) * ws.num_weights and ws.degree == ws.n
-
-
-def _is_boundary_star(ws: WeightSystem) -> bool:
-    sc = star_case(ws)
-    if not sc.holds or ws.index != 1:
-        return False
-    return ws.weights == (1,) * (ws.num_weights - 2) + (2, sc.a)
 
 
 @register_criterion(
     CRIT_BOUNDARY_SMOOTH,
     "a smooth Fano variety with alpha invariant equal to dim/(dim+1) is K-stable",
 )
-def _eval_alpha_boundary_smooth(inputs: dict) -> tuple[str, Verdict | None]:
+def _eval_alpha_boundary_smooth(inputs: dict) -> tuple[str, Verdict | None, None]:
     ws = _ws_from(inputs)
-    if not _is_all_ones(ws):
-        return ("not the all-ones boundary shape; criterion silent", None)
+    if boundary_shape(ws) != SHAPE_ALL_ONES:
+        return ("not the all-ones boundary shape; criterion silent", None, None)
     threshold = Fraction(ws.dim, ws.dim + 1)
     return (
         f"all weights equal 1 and the degree is {ws.degree}, so the member is a smooth "
         f"Fano hypersurface with alpha >= dim/(dim+1) = {threshold}; equality suffices "
         "for smooth varieties; K-stable",
         Verdict.K_STABLE,
+        None,
     )
 
 
@@ -410,23 +407,29 @@ def _eval_alpha_boundary_smooth(inputs: dict) -> tuple[str, Verdict | None]:
     "it has only half-point quotient singularities, which are not weakly "
     "exceptional; K-stable either way",
 )
-def _eval_alpha_boundary_star_parity(inputs: dict) -> tuple[str, Verdict | None]:
+def _eval_alpha_boundary_star_parity(inputs: dict) -> tuple[str, Verdict | None, None]:
     ws = _ws_from(inputs)
-    if not _is_boundary_star(ws):
-        return ("not the double-weight boundary shape with all other weights 1; criterion silent", None)
-    a = star_case(ws).a
+    if boundary_shape(ws) != SHAPE_STAR:
+        return (
+            "not the double-weight boundary shape with all other weights 1; criterion silent",
+            None,
+            None,
+        )
+    a = ws.degree // 2
     threshold = Fraction(ws.dim, ws.dim + 1)
     if a % 2 == 1:
         return (
             f"boundary case alpha = {threshold} with a = {a} odd: the member is smooth "
             "and equality suffices for smooth varieties; K-stable",
             Verdict.K_STABLE,
+            None,
         )
     return (
         f"boundary case alpha = {threshold} with a = {a} even: the member has only "
         "half-point quotient singularities, which are not weakly exceptional "
         "(cited singularity classification, not recomputed here); K-stable",
         Verdict.K_STABLE,
+        None,
     )
 
 
@@ -434,8 +437,8 @@ def _eval_alpha_boundary_star_parity(inputs: dict) -> tuple[str, Verdict | None]
     CRIT_KE,
     "a K-stable Fano variety admits a Kahler-Einstein metric",
 )
-def _eval_kahler_einstein(inputs: dict) -> tuple[str, Verdict | None]:
-    return ("the member admits a Kahler-Einstein metric", None)
+def _eval_kahler_einstein(inputs: dict) -> tuple[str, Verdict | None, None]:
+    return ("the member admits a Kahler-Einstein metric", None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -467,18 +470,11 @@ def classify(
     """
     if member_class not in MEMBER_CLASSES:
         raise ValueError(f"unknown member class {member_class!r}")
-    problems = []
-    if ws.index < 1:
-        problems.append(f"index {ws.index} is not positive (not Fano)")
-    if not ws.divisible:
-        problems.append("some weight does not divide the degree")
-    if ws.is_linear_cone:
-        problems.append("degree equals a weight (linear cone)")
-    if problems:
-        raise ValueError(f"cannot classify {ws.render()}: " + "; ".join(problems))
-    if support is not None:
-        if tuple(sorted(support.weights)) != ws.weights or support.degree != ws.degree:
-            raise ValueError("support ambient does not match the weight system")
+    errors = precondition_errors(ws)
+    if errors:
+        raise ValueError(f"cannot classify {ws.render()}: " + "; ".join(errors))
+    if support is not None and support.system != ws:
+        raise ValueError("support ambient does not match the weight system")
 
     base = {"weights": list(ws.weights), "degree": ws.degree}
     entries: list[TraceEntry] = []
@@ -492,38 +488,26 @@ def classify(
         entries.append(
             make_entry(CRIT_AUT, {"weights": list(ws.weights), "multidegree": [ws.degree]})
         )
-        finite = aut_finite(ws.weights, (ws.degree,))
+        finite = entries[-1].payload
         entries.append(make_entry(CRIT_FERMAT, dict(base)))
 
     if ws.index == 1 and ws.well_formed:
-        covered = plan_cover_universal(ws).ok
         entries.append(make_entry(CRIT_COVER, dict(base, mode="universal")))
-        if not covered and support is not None:
-            covered = plan_cover_for_support(support).ok
-            entries.append(
-                make_entry(
-                    CRIT_COVER,
-                    {
-                        "weights": list(support.weights),
-                        "degree": support.degree,
-                        "mode": "support",
-                        "monomials": [list(m.exponents) for m in support.monomials],
-                    },
-                )
-            )
+        if not entries[-1].payload.ok and support is not None:
+            entries.append(make_entry(CRIT_COVER, dict(support.to_json(), mode="support")))
+        covered = entries[-1].payload.ok
         entries.append(make_entry(CRIT_ALPHA, dict(base, cover_available=covered)))
-        if covered:
-            alpha = alpha_lower_bound(ws, cover_available=True)
-            threshold = Fraction(ws.dim, ws.dim + 1)
-            if alpha.value > threshold:
+        alpha = entries[-1].payload
+        if alpha is not None:
+            if alpha.value > Fraction(ws.dim, ws.dim + 1):
                 entries.append(make_entry(CRIT_ALPHA_THRESHOLD, dict(base)))
-            elif _is_all_ones(ws):
-                entries.append(make_entry(CRIT_BOUNDARY_SMOOTH, dict(base)))
-            elif _is_boundary_star(ws):
-                entries.append(make_entry(CRIT_BOUNDARY_PARITY, dict(base)))
             else:
-                # the threshold bound meets dim/(dim+1) only on the two shapes above
-                raise AssertionError(f"alpha bound below dim/(dim+1) for {ws.render()}")
+                # the threshold bound meets dim/(dim+1) only on the two boundary shapes
+                shape = boundary_shape(ws)
+                if shape is None:
+                    raise AssertionError(f"alpha bound below dim/(dim+1) for {ws.render()}")
+                boundary = CRIT_BOUNDARY_SMOOTH if shape == SHAPE_ALL_ONES else CRIT_BOUNDARY_PARITY
+                entries.append(make_entry(boundary, dict(base)))
 
     verdict = join_verdicts(entry.verdict for entry in entries)
     if verdict is Verdict.K_STABLE:
@@ -563,14 +547,7 @@ class BatchSummary:
 
 def batch_classify(catalog: EnumerationResult) -> BatchSummary:
     """Classify every catalog system as a quasi-smooth member, tally verdicts."""
-    order = (
-        Verdict.K_STABLE,
-        Verdict.K_POLYSTABLE,
-        Verdict.K_SEMISTABLE,
-        Verdict.K_UNSTABLE,
-        Verdict.UNKNOWN,
-    )
-    counts = {v.value: 0 for v in order}
+    counts = {v.value: 0 for v in Verdict}  # keys in Verdict's declaration order
     unknown: list[StabilityReport] = []
     for ws in catalog.systems:
         report = classify(ws, MEMBER_ANY)

@@ -5,13 +5,18 @@ table-filling membership test and an exhaustive lexicographic search) so that
 the bit-mask implementation is never trusted on its own word.
 """
 
+import ast
 import itertools
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import wfano
 from wfano import (
     StarCase,
     WeightSystem,
@@ -24,6 +29,7 @@ from wfano import (
     triple_gap,
     validate,
 )
+from wfano.core import SHAPE_ALL_ONES, SHAPE_STAR, boundary_shape, precondition_errors
 
 
 def naive_representable(target: int, generators) -> bool:
@@ -279,3 +285,59 @@ def test_lcm_identity_on_small_catalogs(surface_catalog, threefold_catalog):
     for result in (surface_catalog, threefold_catalog):
         for ws in result.systems:
             assert ws.degree == lcm(*ws.quotients)
+
+
+# ascending systems of every kind, and index-1 systems whose weights all
+# divide the degree: drawn proper divisors, the rest of d + 1 filled greedily
+# with proper divisors (1 always divides); half of them end in two 1s, which
+# makes them well-formed, so that many pass every check
+ascending_systems = st.builds(
+    WeightSystem.of,
+    st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    st.integers(1, 40),
+)
+
+
+@st.composite
+def index_one_systems(draw):
+    degree = draw(st.integers(2, 60))
+    divisors = [a for a in range(1, degree) if degree % a == 0]
+    weights = draw(st.lists(st.sampled_from(divisors), max_size=4))
+    ones = draw(st.sampled_from((0, 2)))
+    rest = degree + 1 - sum(weights) - ones
+    assume(rest >= 0)
+    weights += [1] * ones
+    for a in reversed(divisors):
+        count, rest = divmod(rest, a)
+        weights += [a] * count
+    assume(len(weights) <= 8)
+    return WeightSystem.of(weights, degree)
+
+
+class TestSharedChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(ascending_systems, index_one_systems()))
+    def test_index_one_preconditions_match_validate(self, ws):
+        assert (precondition_errors(ws, index_one=True) == ()) == validate(ws, 1).ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_one_systems())
+    def test_boundary_shape_iff_threshold_at_floor(self, ws):
+        assume(not precondition_errors(ws, index_one=True))
+        n = ws.n
+        assert (boundary_shape(ws) is not None) == (threshold_c(ws) == Fraction(n - 1, n))
+
+    def test_boundary_shapes_named(self):
+        assert boundary_shape(WeightSystem((1, 1, 1, 1), 3)) == SHAPE_ALL_ONES
+        assert boundary_shape(WeightSystem((1, 1, 2, 3), 6)) == SHAPE_STAR
+        assert boundary_shape(WeightSystem((1, 1, 2, 3, 6), 12)) is None
+        assert boundary_shape(WeightSystem((1, 1, 1), 6)) is None
+
+
+def test_verdict_modules_have_no_assert():
+    # assert statements vanish under python -O; verdict guards must raise
+    package = Path(wfano.__file__).parent
+    for name in ("core.py", "monomial.py", "stability.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{name} has assert statements at lines {lines}"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from wfano import (
     fermat_k_stability,
     join_verdicts,
     load_support,
+    plan_cover_universal,
     recompute_entry,
     registered_criteria,
     report_to_json,
@@ -313,6 +315,18 @@ class TestTraceRecompute:
         for report in reports:
             for entry in report.trace:
                 assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
+
+    def test_entries_carry_the_facts_classify_reports(self):
+        ws = WeightSystem((1, 1, 2, 3), 6)
+        report = classify(ws, MEMBER_FERMAT)
+        aut, fermat, cover, alpha = report.trace[:4]
+        assert aut.payload is report.aut_finite is aut_finite(ws.weights, (ws.degree,))
+        assert fermat.payload is None
+        assert cover.payload == plan_cover_universal(ws) and cover.payload.ok
+        assert alpha.payload == report.alpha == alpha_lower_bound(ws, cover_available=True)
+        # the payload is kept for classify only: neither compared nor shown
+        assert replace(cover, payload=None) == cover
+        assert "payload" not in repr(cover)
 
     def test_unregistered_criterion(self):
         entry = TraceEntry("made_up", "", {}, "", None)
