@@ -1,29 +1,29 @@
 """Complete enumeration of weight systems with divisible weights.
 
 A system (a_0,...,a_n : d) with Fano index I satisfies d = sum(a_i) - I and
-a_i | d for every i.  For index 1 the quotients b_i = d/a_i obey the unit
-fraction identity sum(1/b_i) = 1 + 1/d with every b_i >= 2, and two facts make
-the search finite and provably complete:
+a_i | d for every i.  Only well-formed systems that are not linear cones are
+listed.
 
-* d = lcm(b_0,...,b_n).  Each b_i divides d (b_i * a_i = d), so lcm | d;
-  multiplying the identity by the lcm shows d | lcm.
-* Fixing an ascending prefix b_0 <= ... <= b_{n-1} with L = lcm(prefix) and
-  integer partial sum sigma = sum(L/b_i), the last value c satisfies
-  c = t*L/u where u = t*w + 1, w = L - sigma, and u divides L with
-  u = 1 (mod w).  (From t := d/L one gets t*L/c = t*w + 1 =: u; u is coprime
-  to t and divides t*L, hence divides L.)  Scanning the divisors of L
-  therefore finds every completion, and each scanned candidate satisfies the
-  identity exactly with d = t*L.
+For index 1 the quotients b_i = d/a_i obey the unit fraction identity
+sum(1/b_i) = 1 + 1/d with every b_i >= 2 (no linear cone).  Since each b_i
+divides d, the gcd of the weights other than a_j is d / lcm(b_i : i != j), so
+the system is well-formed exactly when dropping any one quotient keeps the
+lcm equal to d.  Two consequences make the search finite and complete:
 
-When the prefix sums to exactly 1 (w = 0) the completion is c = k*lcm(prefix)
-for any k >= 1; well-formedness forces k = 1 (every other weight becomes
-divisible by k), which keeps the default search finite.
+* List the quotients ascending, b_0 <= ... <= b_{n-1} <= c, and drop the last
+  one: well-formedness gives d = L := lcm(b_0,...,b_{n-1}).
+* With the integer partial sum sigma = sum(L/b_i), the identity becomes
+  sigma/L + 1/c = 1 + 1/L, so c = L/(L - sigma + 1), and the prefix has a
+  completion exactly when L - sigma + 1 is positive and divides L.  The last
+  weight is then d/c = L - sigma + 1.
 
-Intermediate values are bounded by b < m/(1 - s) where m counts the remaining
-slots: all later values are at least b, so the total could not otherwise
-exceed 1.  Partial sums s >= 1 with two or more slots remaining are
-impossible (the excess over 1 must equal 1/lcm, but each remaining term is at
-least 1/lcm already).
+Each candidate is tested for well-formedness once, which covers dropping
+the other quotients.  Prefix values are bounded by b < m/(1 - s) where s is
+the partial sum and m counts the remaining slots: all later values are at
+least b, so the total could not otherwise exceed 1.  Partial sums s >= 1 with
+two or more slots remaining are impossible (each remaining term is at least
+1/d, so the total would exceed 1 + 1/d).  The lcm L only grows along the
+recursion, so a degree bound d_max prunes a prefix as soon as L > d_max.
 
 For index > 1 the identity couples the unknowns less tractably; the search is
 a bounded divisor-multiset scan per degree and requires an explicit d_max.
@@ -33,15 +33,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 
-from .core import WeightSystem, validate
+from .core import WeightSystem, precondition_errors
 
 CATALOG_VERSION = 1
+
+# Filters every catalog applies; kept in the file envelope for format compatibility.
+_CATALOG_FILTERS = {"require_well_formed": True, "exclude_linear_cone": True}
 
 
 class CatalogError(ValueError):
@@ -54,13 +55,14 @@ class CatalogMismatch(CatalogError):
 
 @dataclass(frozen=True)
 class EnumerationQuery:
-    """Search parameters: n+1 weights, Fano index, optional degree bound, filters."""
+    """Search parameters: n+1 weights, Fano index, optional degree bound.
+
+    Every search lists well-formed systems that are not linear cones.
+    """
 
     num_weights: int
     index: int
     d_max: int | None = None
-    require_well_formed: bool = True
-    exclude_linear_cone: bool = True
 
     def __post_init__(self) -> None:
         if self.num_weights < 3:
@@ -80,131 +82,43 @@ class EnumerationResult:
     complete: bool
 
 
-@lru_cache(maxsize=None)
-def _factorize(value: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization by trial division; values stay small (<= ~10^4)."""
-    factors: list[tuple[int, int]] = []
-    v = value
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if v > 1:
-        factors.append((v, 1))
-    return tuple(factors)
-
-
-def _divisors(factors: dict[int, int]) -> list[int]:
-    divs = [1]
-    for p, e in factors.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
-
-
-def _index_one_systems(
-    num_weights: int,
-    require_well_formed: bool,
-    d_max: int | None,
-) -> list[WeightSystem]:
+def _index_one_systems(num_weights: int, d_max: int | None) -> list[WeightSystem]:
     """All index-1 systems via the ascending quotient recursion (see module docstring)."""
     found: list[WeightSystem] = []
 
-    def emit(quotients: list[int], d: int) -> None:
-        if d_max is not None and d > d_max:
-            return
-        # exact identity guard for the algebra above
-        assert sum(Fraction(1, b) for b in quotients) == 1 + Fraction(1, d)
-        ws = WeightSystem.of((d // b for b in quotients), d)
-        assert ws.index == 1 and ws.divisible and not ws.is_linear_cone
-        if require_well_formed and not ws.well_formed:
-            return
-        found.append(ws)
-
-    def last_slot(chosen: list[int], big_l: int, sigma: int, factors: dict[int, int]) -> None:
-        prev = chosen[-1]
-        if sigma == big_l:
-            # partial sum is exactly 1: c = k * lcm(prefix)
-            if require_well_formed:
-                ks = [1]
-            elif d_max is not None:
-                ks = list(range(1, d_max // big_l + 1))
-            else:
-                raise ValueError(
-                    "index-1 search without well-formedness is infinite; give d_max"
-                )
-            for k in ks:
-                c = k * big_l
-                if c >= max(prev, 2):
-                    emit(chosen + [c], c)
-            return
-        if sigma > big_l:
-            return
-        w = big_l - sigma
-        for u in _divisors(factors):
-            if u == 1 or (u - 1) % w != 0:
-                continue
-            t = (u - 1) // w
-            c = t * big_l // u
-            if c < max(prev, 2):
-                continue
-            assert lcm(big_l, c) == t * big_l
-            emit(chosen + [c], t * big_l)
-
-    def extend(
-        chosen: list[int],
-        slots: int,
-        big_l: int,
-        sigma: int,
-        factors: dict[int, int],
-    ) -> None:
+    def extend(chosen: list[int], slots: int, big_l: int, sigma: int) -> None:
         if slots == 1:
-            last_slot(chosen, big_l, sigma, factors)
+            last_weight = big_l - sigma + 1  # d/c with d = L and c = L/(L - sigma + 1)
+            if last_weight >= 1 and big_l % last_weight == 0 and big_l // last_weight >= chosen[-1]:
+                ws = WeightSystem.of([big_l // b for b in chosen] + [last_weight], big_l)
+                if ws.well_formed:
+                    found.append(ws)
             return
         if sigma >= big_l:
             return  # partial sum >= 1 with two or more slots left is impossible
-        lo = max(2, chosen[-1] if chosen else 2)
         hi = (slots * big_l - 1) // (big_l - sigma)
-        for b in range(lo, hi + 1):
-            new_factors = dict(factors)
-            for p, e in _factorize(b):
-                if new_factors.get(p, 0) < e:
-                    new_factors[p] = e
-            new_l = 1
-            for p, e in new_factors.items():
-                new_l *= p**e
-            scale = new_l // big_l
-            extend(chosen + [b], slots - 1, new_l, sigma * scale + new_l // b, new_factors)
+        for b in range(chosen[-1] if chosen else 2, hi + 1):
+            new_l = lcm(big_l, b)
+            if d_max is None or new_l <= d_max:
+                extend(chosen + [b], slots - 1, new_l, sigma * (new_l // big_l) + new_l // b)
 
-    extend([], num_weights, 1, 0, {})
+    extend([], num_weights, 1, 0)
     return found
 
 
-def _bounded_index_systems(query: EnumerationQuery) -> list[WeightSystem]:
-    """Divisor-multiset scan per degree for index > 1 (d_max mandatory)."""
-    assert query.d_max is not None
+def _bounded_index_systems(num_weights: int, index: int, d_max: int) -> list[WeightSystem]:
+    """Divisor-multiset scan per degree for index > 1."""
     found: list[WeightSystem] = []
-    for d in range(1, query.d_max + 1):
-        factors = dict(_factorize(d)) if d > 1 else {}
-        divs = sorted(_divisors(factors))
-        if query.exclude_linear_cone:
-            divs = [a for a in divs if a < d]
-        target = d + query.index
-        slots = query.num_weights
+    for d in range(2, d_max + 1):
+        small = [a for a in range(1, isqrt(d) + 1) if d % a == 0]
+        divs = sorted({*small, *(d // a for a in small)} - {d})  # a = d is a linear cone
 
         def pick(start: int, left: int, remaining: int, acc: list[int]) -> None:
             if left == 0:
                 if remaining == 0:
                     ws = WeightSystem(tuple(acc), d)
-                    if query.require_well_formed and not ws.well_formed:
-                        return
-                    if query.exclude_linear_cone and ws.is_linear_cone:
-                        return
-                    found.append(ws)
+                    if ws.well_formed:
+                        found.append(ws)
                 return
             for idx in range(start, len(divs)):
                 a = divs[idx]
@@ -214,25 +128,26 @@ def _bounded_index_systems(query: EnumerationQuery) -> list[WeightSystem]:
                     continue
                 pick(idx, left - 1, remaining - a, acc + [a])
 
-        if divs:
-            pick(0, slots, target, [])
+        pick(0, num_weights, d + index, [])
     return found
 
 
 def enumerate_systems(query: EnumerationQuery) -> EnumerationResult:
-    """All well-formed, non-cone systems with sum(a_i) - d = index and a_i | d."""
+    """All well-formed, non-cone systems with sum(a_i) - d = index and a_i | d.
+
+    Index 1 needs no degree bound; a given d_max truncates the catalog and
+    marks it incomplete.  Index > 1 requires d_max.
+    """
     if query.index == 1:
-        systems = _index_one_systems(query.num_weights, query.require_well_formed, query.d_max)
+        systems = _index_one_systems(query.num_weights, query.d_max)
+    elif query.d_max is None:
+        raise ValueError("enumeration with index > 1 is unbounded; an explicit d_max is required")
     else:
-        if query.d_max is None:
-            raise ValueError(
-                "enumeration with index > 1 is unbounded; an explicit d_max is required"
-            )
-        systems = _bounded_index_systems(query)
+        systems = _bounded_index_systems(query.num_weights, query.index, query.d_max)
     unique = sorted(set(systems))
     for ws in unique:
-        report = validate(ws, query.index)
-        assert report.index_matches and report.divisibility
+        if ws.index != query.index or not ws.well_formed or precondition_errors(ws):
+            raise AssertionError(f"enumeration produced {ws.render()}, outside the query")
     return EnumerationResult(
         query=query,
         systems=tuple(unique),
@@ -285,8 +200,7 @@ def _query_to_json(query: EnumerationQuery) -> dict:
         "num_weights": query.num_weights,
         "index": query.index,
         "d_max": query.d_max,
-        "require_well_formed": query.require_well_formed,
-        "exclude_linear_cone": query.exclude_linear_cone,
+        **_CATALOG_FILTERS,
     }
 
 
@@ -314,7 +228,11 @@ def load_catalog(path: str | Path, query: EnumerationQuery | None = None) -> Enu
             f"got {payload.get('version') if isinstance(payload, dict) else type(payload).__name__!r}"
         )
     try:
-        stored_query = EnumerationQuery(**payload["query"])
+        fields = dict(payload["query"])
+        for key, value in _CATALOG_FILTERS.items():
+            if fields.pop(key) is not value:
+                raise ValueError(f"query {key} must be {json.dumps(value)}")
+        stored_query = EnumerationQuery(**fields)
         systems = tuple(
             WeightSystem(tuple(entry["weights"]), entry["degree"]) for entry in payload["systems"]
         )

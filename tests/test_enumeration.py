@@ -71,6 +71,15 @@ def test_index_two_matches_bruteforce():
     assert list(bounded.systems) == oracle
 
 
+@pytest.mark.parametrize("num_weights, count", [(6, 77), (7, 155)])
+def test_index_one_dmax_matches_bruteforce(num_weights, count):
+    bounded = enumerate_systems(EnumerationQuery(num_weights=num_weights, index=1, d_max=40))
+    assert len(bounded.systems) == count
+    # no linear cones, so every weight of a degree <= 40 system is at most 20
+    oracle = [ws for ws in enumerate_bruteforce(num_weights, 1, 20).systems if ws.degree <= 40]
+    assert list(bounded.systems) == oracle
+
+
 def test_bruteforce_small_window():
     result = enumerate_bruteforce(4, 1, 2)
     assert set(result.systems) == {
@@ -187,4 +196,14 @@ class TestCatalogPersistence:
         payload["systems"].reverse()
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(CatalogError, match="sorted"):
+            load_catalog(path)
+
+    def test_filter_flags_must_be_true(self, surface_catalog, tmp_path):
+        path = tmp_path / "unfiltered.json"
+        save_catalog(surface_catalog, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["query"]["require_well_formed"] is True
+        payload["query"]["require_well_formed"] = False
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CatalogError, match="schema"):
             load_catalog(path)
