@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
-from typing import Iterable
+from math import gcd, prod
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -299,32 +299,127 @@ def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
     )
 
 
-@lru_cache(maxsize=None)
-def _reachable_bits(generators: tuple[int, ...], limit: int) -> int:
-    """Bitmask of all non-negative integer combinations of generators <= limit."""
-    mask = (1 << (limit + 1)) - 1
-    reach = 1  # 0 is always reachable
-    for g in generators:
-        shift = g
-        while shift <= limit:
-            reach |= (reach << shift) & mask
-            shift <<= 1
-    return reach
+# at most 64 tables at once, each of a_1 integers
+@lru_cache(maxsize=64)
+def _apery_table(gens: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest element of <gens> in each residue class modulo gens[0].
+
+    The round-robin algorithm of Böcker & Lipták ("A fast and simple algorithm
+    for the money changing problem", Algorithmica 2007): about
+    len(gens) * gens[0] steps, whatever the target.  gens are sorted, distinct
+    and coprime, so every class is reached.
+    """
+    a = gens[0]
+    # a smallest element uses every other generator fewer than a times
+    unreached = a * sum(gens)
+    table = [unreached] * a
+    table[0] = 0
+    for b in gens[1:]:
+        h = gcd(a, b)
+        for r in range(h):
+            n = min(table[r::h])
+            if n == unreached:
+                continue
+            for _ in range(a // h - 1):
+                n += b
+                p = n % a
+                if table[p] < n:
+                    n = table[p]
+                else:
+                    table[p] = n
+    return tuple(table)
+
+
+def _least_multiple(target: int, g: int, c: int) -> int | None:
+    """Least m >= 0 with target - m*g a non-negative multiple of c, or None.
+
+    m solves m*g = target (mod c) in closed form: with h = gcd(g, c), the
+    residue of (target/h) * (g/h)^-1 modulo c/h.
+    """
+    h = gcd(g, c)
+    if target % h:
+        return None
+    c //= h
+    m = target // h * pow(g // h, -1, c) % c
+    return m if m * g <= target else None
+
+
+def _peeled(target: int, large: tuple[int, ...]) -> Iterator[int]:
+    """target minus every sum of multiples of large that stays >= 0."""
+    if not large:
+        yield target
+        return
+    c = large[-1]
+    for m in range(target // c + 1):
+        yield from _peeled(target - m * c, large[:-1])
+
+
+def _representable(target: int, gens: tuple[int, ...]) -> bool:
+    """Membership of target >= 0 in <gens>, for sorted distinct positive gens.
+
+    Exact shortcuts first, the last of them the closed form for a coprime
+    pair; otherwise the cheaper of the Apéry table (about k * a_1 steps,
+    cached per generator tuple) and peeling the multiples of the generators
+    above the two smallest (prod(t // c + 1) pair tests).
+    """
+    if target == 0:
+        return True
+    if not gens or target < gens[0]:
+        return False
+    if gens[0] == 1:
+        return True
+    if len(gens) == 1:
+        return target % gens[0] == 0
+    h = gcd(*gens)
+    if target % h:
+        return False
+    if h > 1:
+        target //= h
+        gens = tuple(g // h for g in gens)
+    a, b = gens[0], gens[1]
+    # Schur: every integer above (a_1 - 1)(a_k - 1) - 1 lies in <gens>
+    if target > (a - 1) * (gens[-1] - 1) - 1:
+        return True
+    if len(gens) == 2:
+        return _least_multiple(target, b, a) is not None
+    if len(gens) * a <= prod(target // c + 1 for c in gens[2:]):
+        return target >= _apery_table(gens)[target % a]
+    return any(_least_multiple(t, b, a) is not None for t in _peeled(target, gens[2:]))
 
 
 def semigroup_representable(target: int, generators: Iterable[int]) -> bool:
     """Is target a non-negative integer combination of the generators?"""
-    gens = sorted(set(generators))
+    gens = tuple(sorted(set(generators)))
     if any(not isinstance(g, int) or g <= 0 for g in gens):
         raise ValueError(f"generators must be positive integers, got {gens!r}")
-    if target == 0:
-        return True
-    if target < 0 or not gens:
+    if target < 0:
         return False
-    usable = tuple(g for g in gens if g <= target)
-    if not usable:
-        return False
-    return bool((_reachable_bits(usable, target) >> target) & 1)
+    return _representable(target, gens)
+
+
+def _least_coefficient(remaining: int, g: int, rest: tuple[int, ...]) -> int:
+    """Smallest m >= 0 with remaining - m*g in <rest>; remaining lies in <g, rest>.
+
+    rest is sorted and distinct.  With one generator c left, m is the closed
+    form of _least_multiple.  Otherwise m < c / gcd(g, c) for every c in rest
+    (that many g make a multiple of c), and m <= remaining // g: step m
+    through that range, or peel the multiples of rest[1:] and take the least
+    closed-form m against rest[0], whichever takes fewer steps.
+    """
+    if not rest:
+        m = remaining // g
+    elif len(rest) == 1:
+        m = _least_multiple(remaining, g, rest[0])
+    else:
+        limit = min(remaining // g, *(c // gcd(g, c) - 1 for c in rest))
+        if prod(remaining // c + 1 for c in rest[1:]) <= limit:
+            found = (_least_multiple(t, g, rest[0]) for t in _peeled(remaining, rest[1:]))
+            m = min((x for x in found if x is not None), default=None)
+        else:
+            m = next((x for x in range(limit + 1) if _representable(remaining - x * g, rest)), None)
+    if m is None:
+        raise AssertionError(f"{remaining} is not in the semigroup of {(g, *rest)}")
+    return m
 
 
 def semigroup_decomposition(target: int, generators: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -334,23 +429,12 @@ def semigroup_decomposition(target: int, generators: tuple[int, ...]) -> tuple[i
     coefficient vector is minimized coordinate by coordinate from the left.
     Returns None when target is not representable.
     """
-    if target < 0:
-        return None
-    if not semigroup_representable(target, set(generators)):
+    if not semigroup_representable(target, generators):
         return None
     coeffs: list[int] = []
     remaining = target
     for t, g in enumerate(generators):
-        rest = set(generators[t + 1:])
-        m = 0
-        while True:
-            left = remaining - m * g
-            if left < 0:  # unreachable under the representability guarantee
-                raise AssertionError("decomposition search overran the target")
-            rest_ok = semigroup_representable(left, rest) if rest else left == 0
-            if rest_ok:
-                break
-            m += 1
+        m = _least_coefficient(remaining, g, tuple(sorted(set(generators[t + 1:]))))
         coeffs.append(m)
         remaining -= m * g
     if remaining != 0:

@@ -2,14 +2,14 @@
 
 The semigroup routines are checked against deliberately naive oracles (a
 table-filling membership test and an exhaustive lexicographic search) so that
-the bit-mask implementation is never trusted on its own word.
+the closed forms, residue tables and peeling are never trusted on their own word.
 """
 
 import ast
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -33,7 +33,7 @@ from wfano.core import SHAPE_ALL_ONES, SHAPE_STAR, boundary_shape, precondition_
 
 
 def naive_representable(target: int, generators) -> bool:
-    """Textbook coin-problem table, independent of the bit-mask code path."""
+    """Textbook coin-problem table, independent of the code under test."""
     if target < 0:
         return False
     gens = [g for g in set(generators) if 0 < g <= target]
@@ -220,6 +220,90 @@ class TestSemigroupMembership:
             semigroup_representable(4, (0, 2))
         with pytest.raises(ValueError, match="positive"):
             semigroup_representable(4, (-1, 3))
+
+
+# one strategy per branch of semigroup_representable; targets stay small
+# enough for the table of naive_representable
+one_generator = st.tuples(st.integers(0, 300), st.tuples(st.integers(1, 40)))
+
+
+@st.composite
+def common_gcd(draw):
+    h = draw(st.integers(2, 6))
+    base = draw(st.lists(st.integers(1, 15), min_size=2, max_size=4))
+    return draw(st.integers(0, 300)), tuple(h * b for b in base)
+
+
+@st.composite
+def coprime_pair(draw):
+    a = draw(st.integers(2, 30))
+    b = draw(st.integers(2, 60).filter(lambda b: gcd(a, b) == 1))
+    return draw(st.integers(0, a * b)), (a, b)
+
+
+@st.composite
+def above_schur_bound(draw):
+    gens = draw(st.lists(st.integers(2, 30), min_size=2, max_size=4, unique=True))
+    assume(gcd(*gens) == 1)
+    bound = (min(gens) - 1) * (max(gens) - 1) - 1
+    return bound + draw(st.integers(1, 50)), tuple(gens)
+
+
+@st.composite
+def small_first_large_target(draw):
+    # three or more generators above a small a_1, target below Schur's bound
+    # and large against the rest: the residue (Apéry) table
+    a = draw(st.integers(2, 7))
+    rest = draw(st.lists(st.integers(a + 1, 60), min_size=2, max_size=4, unique=True))
+    gens = (a, *rest)
+    assume(gcd(*gens) == 1)
+    return draw(st.integers((a - 1) * (max(gens) - 1) // 2, (a - 1) * (max(gens) - 1))), gens
+
+
+@st.composite
+def large_generators_small_target(draw):
+    # three or more large generators against a small target: peeling
+    gens = draw(st.lists(st.integers(20, 80), min_size=3, max_size=5, unique=True))
+    return draw(st.integers(0, 3 * min(gens))), tuple(gens)
+
+
+membership_cases = st.one_of(
+    one_generator,
+    common_gcd(),
+    coprime_pair(),
+    above_schur_bound(),
+    small_first_large_target(),
+    large_generators_small_target(),
+)
+
+
+class TestSemigroupProperties:
+    @settings(max_examples=600)
+    @given(membership_cases)
+    def test_membership_matches_naive_oracle(self, case):
+        target, gens = case
+        assert semigroup_representable(target, gens) == naive_representable(target, gens)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.integers(2, 12), min_size=1, max_size=3).flatmap(
+            # duplicates, and pairs where one distinct generator remains
+            lambda gens: st.tuples(st.integers(0, 60), st.sampled_from((gens, gens + gens[-1:])))
+        )
+    )
+    def test_decomposition_matches_exhaustive_search(self, case):
+        target, gens = case
+        gens = tuple(gens)
+        assert semigroup_decomposition(target, gens) == naive_decomposition(target, gens)
+
+    def test_large_pair_decomposition(self):
+        # gcd 2,860,263; the target is 76,913 times it, near the degree
+        # 222,614,269,290 of the largest fivefold
+        gens = (122991309, 5177076030)
+        target = 219991408119
+        m, n = semigroup_decomposition(target, gens)
+        assert m * gens[0] + n * gens[1] == target
+        assert (target - (m - 1) * gens[0]) % gens[1] != 0
 
 
 class TestSemigroupDecomposition:

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wfano
 from wfano import (
     ALPHA_ALL_GE2,
     ALPHA_GENERIC,
@@ -427,3 +433,36 @@ class TestBatch:
         assert list(payload) == ["total", "counts", "unknown"]
         assert payload["unknown"] == []
         json.dumps(payload)
+
+
+# classify under a 3 GB address-space cap, in a child process that sets it
+CAPPED_CLASSIFY = """
+import resource, sys
+cap = 3 << 30
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+from wfano import WeightSystem, classify
+for spec in sys.argv[1:]:
+    weights, degree = spec.split(":")
+    print(classify(WeightSystem.of(map(int, weights.split(",")), int(degree))).verdict.value)
+"""
+
+
+def test_large_fivefolds_classify_within_memory_cap():
+    specs = (
+        # the largest fivefold degree
+        "2,272405,122991309,5177076030,31802038470,74204756430,111307134645:222614269290",
+        # a cover plan whose decomposition once stepped its first coefficient 3.4e7 times
+        "6,13201,662501,28379694,174332406,406775614,610163421:1220326842",
+    )
+    src = str(Path(wfano.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLASSIFY, *specs],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [Verdict.K_STABLE.value] * 2
+    assert elapsed < 20, f"took {elapsed:.1f} s"
