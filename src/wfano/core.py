@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
 from typing import Iterable, Iterator
@@ -299,9 +298,7 @@ def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
     )
 
 
-# at most 64 tables at once, each of a_1 integers
-@lru_cache(maxsize=64)
-def _apery_table(gens: tuple[int, ...]) -> tuple[int, ...]:
+def _apery_table(gens: tuple[int, ...]) -> list[int]:
     """Smallest element of <gens> in each residue class modulo gens[0].
 
     The round-robin algorithm of Böcker & Lipták ("A fast and simple algorithm
@@ -327,7 +324,7 @@ def _apery_table(gens: tuple[int, ...]) -> tuple[int, ...]:
                     n = table[p]
                 else:
                     table[p] = n
-    return tuple(table)
+    return table
 
 
 def _least_multiple(target: int, g: int, c: int) -> int | None:
@@ -359,8 +356,8 @@ def _representable(target: int, gens: tuple[int, ...]) -> bool:
 
     Exact shortcuts first, the last of them the closed form for a coprime
     pair; otherwise the cheaper of the Apéry table (about k * a_1 steps,
-    cached per generator tuple) and peeling the multiples of the generators
-    above the two smallest (prod(t // c + 1) pair tests).
+    built per call) and peeling the multiples of the generators above the
+    two smallest (prod(t // c + 1) pair tests).
     """
     if target == 0:
         return True
