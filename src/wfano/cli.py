@@ -17,7 +17,7 @@ from pathlib import Path
 
 import click
 
-from .core import WeightSystem, check_lemma_ineq, minimal_triple_gap, precondition_errors
+from .core import WeightSystem, check_lemma_ineq, minimal_triple_gap, require_preconditions
 from .enumeration import EnumerationQuery, enumerate_systems, render_table
 from .monomial import (
     load_support,
@@ -131,9 +131,7 @@ def analyze(ws: str, member: str, support_path: str | None, strict: bool) -> Non
 def alpha(ws: str) -> None:
     """Alpha-invariant lower bound for WS, via the universal cover planner."""
     system = parse_weight_system(ws)
-    errors = precondition_errors(system, index_one=True)
-    if errors:  # checked before planning, which would otherwise run on a bad system
-        raise ValueError(f"alpha bound undefined for {system.render()}: " + "; ".join(errors))
+    require_preconditions(system, "alpha bound undefined for", index_one=True)  # before planning
     plan = plan_cover_universal(system)
     bound = alpha_lower_bound(system, cover_available=plan.ok)
     click.echo(f"system: {system.render()}")

@@ -147,6 +147,13 @@ def precondition_errors(ws: WeightSystem, index_one: bool = False) -> tuple[str,
     return tuple(errors)
 
 
+def require_preconditions(ws: WeightSystem, context: str, index_one: bool = False) -> None:
+    """Raise ValueError naming every hypothesis of precondition_errors that ws fails."""
+    errors = precondition_errors(ws, index_one)
+    if errors:
+        raise ValueError(f"{context} {ws.render()}: " + "; ".join(errors))
+
+
 @dataclass(frozen=True)
 class StarCase:
     """Detection of the special shape d = 2a with weights containing 2 and a.

@@ -24,7 +24,7 @@ from .core import (
     SHAPE_STAR,
     WeightSystem,
     boundary_shape,
-    precondition_errors,
+    require_preconditions,
     star_case,
     threshold_c,
 )
@@ -106,9 +106,7 @@ def alpha_lower_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | N
     constant threshold_c: (d-2)/d in the star case, (d-1)/d otherwise,
     upgraded to 1 outside the star case when every weight is at least 2.
     """
-    errors = precondition_errors(ws, index_one=True)
-    if errors:
-        raise ValueError(f"alpha bound undefined for {ws.render()}: " + "; ".join(errors))
+    require_preconditions(ws, "alpha bound undefined for", index_one=True)
     if not cover_available:
         return None
     assumptions = (COVER_ASSUMPTION,)
@@ -128,9 +126,10 @@ def aut_finite(weights: Sequence[int], multidegree: Sequence[int]) -> bool:
 
     A complete intersection of multidegree (d_1, ..., d_c) in the weighted
     projective space with the given ascending weights has finite automorphism
-    group when sum(d_j) exceeds the sum of the c+1 largest weights, or when
-    the index I = sum(a_i) - sum(d_j) satisfies 0 < I < n - c.  False means
-    the criterion is silent, never that the group is infinite.
+    group when sum(d_j) exceeds the sum of the c+1 largest weights (the cited
+    alternative 0 < I < n - c never applies otherwise: I = sum(a_i) - sum(d_j)
+    is then at least the sum of the n - c smallest weights).  False means the
+    criterion is silent, never that the group is infinite.
     """
     ws = tuple(weights)
     degrees = tuple(multidegree)
@@ -146,11 +145,7 @@ def aut_finite(weights: Sequence[int], multidegree: Sequence[int]) -> bool:
     c = len(degrees)
     if c > n:
         raise ValueError(f"codimension {c} exceeds the ambient dimension {n}")
-    total = sum(degrees)
-    if total > sum(ws[-(c + 1):]):
-        return True
-    index = sum(ws) - total
-    return 0 < index < n - c
+    return sum(degrees) > sum(ws[-(c + 1):])
 
 
 @dataclass(frozen=True)
@@ -169,17 +164,16 @@ def fermat_k_stability(ws: WeightSystem) -> FermatStability:
     group is known finite), zero gives strict K-semistability, negative gives
     K-instability.  This is the one criterion here that is two-sided.
     """
-    errors = precondition_errors(ws)
-    if errors:
-        raise ValueError(f"Fermat criterion undefined for {ws.render()}: " + "; ".join(errors))
+    require_preconditions(ws, "Fermat criterion undefined for")
+    return _fermat_stability(ws, aut_finite(ws.weights, (ws.degree,)))
+
+
+def _fermat_stability(ws: WeightSystem, finite: bool) -> FermatStability:
     margin = ws.n * ws.weights[0] - ws.index
-    finite = aut_finite(ws.weights, (ws.degree,))
     if margin > 0:
         verdict = Verdict.K_STABLE if finite else Verdict.K_POLYSTABLE
-    elif margin == 0:
-        verdict = Verdict.K_SEMISTABLE
     else:
-        verdict = Verdict.K_UNSTABLE
+        verdict = Verdict.K_SEMISTABLE if margin == 0 else Verdict.K_UNSTABLE
     return FermatStability(verdict=verdict, margin=margin, aut_finite=finite)
 
 
@@ -193,6 +187,7 @@ class TraceEntry:
 
     payload is the fact the evaluator computed for classify to read (a
     CoverPlan, an AlphaBound or None, a finiteness flag); it is not compared.
+    A later entry that needs such a fact records it among its inputs.
     """
 
     criterion: str
@@ -248,7 +243,10 @@ CRIT_KE = "kahler_einstein"
 
 
 def _ws_from(inputs: dict) -> WeightSystem:
-    return WeightSystem.of(inputs["weights"], inputs["degree"])
+    """The recorded system; ValueError when it fails the standing hypotheses."""
+    ws = WeightSystem.of(inputs["weights"], inputs["degree"])
+    require_preconditions(ws, "criterion undefined for")
+    return ws
 
 
 @register_criterion(
@@ -285,14 +283,11 @@ def _eval_aut_finiteness(inputs: dict) -> tuple[str, Verdict | None, bool]:
     total = sum(degrees)
     top = sum(weights[-(c + 1):])
     index = sum(weights) - total
-    # aut_finite decided; the reason only names which of its branches applied
+    # aut_finite decided; the reason only restates its test
     if not finite:
         reason = f"degree sum {total} <= {top} and index {index} is not in (0, {n - c})"
         return (f"finiteness of the automorphism group is not decided: {reason}", None, finite)
-    if total > top:
-        reason = f"degree sum {total} exceeds {top}, the sum of the {c + 1} largest weights"
-    else:
-        reason = f"index {index} lies strictly between 0 and n - c = {n - c}"
+    reason = f"degree sum {total} exceeds {top}, the sum of the {c + 1} largest weights"
     return (f"automorphism group is finite: {reason}", None, finite)
 
 
@@ -304,7 +299,7 @@ def _eval_aut_finiteness(inputs: dict) -> tuple[str, Verdict | None, bool]:
 )
 def _eval_fermat_margin(inputs: dict) -> tuple[str, Verdict | None, None]:
     ws = _ws_from(inputs)
-    result = fermat_k_stability(ws)
+    result = _fermat_stability(ws, inputs["aut_finite"])
     finiteness = "finite" if result.aut_finite else "not decided"
     return (
         f"margin n*a_0 - I = {ws.n}*{ws.weights[0]} - {ws.index} = {result.margin}; "
@@ -320,8 +315,9 @@ def _eval_fermat_margin(inputs: dict) -> tuple[str, Verdict | None, None]:
     "cover of a quasi-smooth member",
 )
 def _eval_smooth_cover(inputs: dict) -> tuple[str, Verdict | None, CoverPlan]:
+    ws = _ws_from(inputs)
     if inputs["mode"] == "universal":
-        plan = plan_cover_universal(_ws_from(inputs))
+        plan = plan_cover_universal(ws)
         scope = "every quasi-smooth member"
     else:
         support = Support.of(inputs["weights"], inputs["degree"], inputs["monomials"])
@@ -368,16 +364,16 @@ def _eval_alpha_bound(inputs: dict) -> tuple[str, Verdict | None, AlphaBound | N
 )
 def _eval_alpha_above_threshold(inputs: dict) -> tuple[str, Verdict | None, None]:
     ws = _ws_from(inputs)
-    bound = alpha_lower_bound(ws, cover_available=True)
+    bound = Fraction(inputs["alpha"]["num"], inputs["alpha"]["den"])
     threshold = Fraction(ws.dim, ws.dim + 1)
-    if bound.value > threshold:
+    if bound > threshold:
         return (
-            f"alpha >= {bound.value} > dim/(dim+1) = {threshold}; the member is K-stable",
+            f"alpha >= {bound} > dim/(dim+1) = {threshold}; the member is K-stable",
             Verdict.K_STABLE,
             None,
         )
     return (
-        f"alpha bound {bound.value} does not exceed dim/(dim+1) = {threshold}; criterion silent",
+        f"alpha bound {bound} does not exceed dim/(dim+1) = {threshold}; criterion silent",
         None,
         None,
     )
@@ -470,9 +466,7 @@ def classify(
     """
     if member_class not in MEMBER_CLASSES:
         raise ValueError(f"unknown member class {member_class!r}")
-    errors = precondition_errors(ws)
-    if errors:
-        raise ValueError(f"cannot classify {ws.render()}: " + "; ".join(errors))
+    require_preconditions(ws, "cannot classify")
     if support is not None and support.system != ws:
         raise ValueError("support ambient does not match the weight system")
 
@@ -489,7 +483,7 @@ def classify(
             make_entry(CRIT_AUT, {"weights": list(ws.weights), "multidegree": [ws.degree]})
         )
         finite = entries[-1].payload
-        entries.append(make_entry(CRIT_FERMAT, dict(base)))
+        entries.append(make_entry(CRIT_FERMAT, dict(base, aut_finite=finite)))
 
     if ws.index == 1 and ws.well_formed:
         entries.append(make_entry(CRIT_COVER, dict(base, mode="universal")))
@@ -500,7 +494,7 @@ def classify(
         alpha = entries[-1].payload
         if alpha is not None:
             if alpha.value > Fraction(ws.dim, ws.dim + 1):
-                entries.append(make_entry(CRIT_ALPHA_THRESHOLD, dict(base)))
+                entries.append(make_entry(CRIT_ALPHA_THRESHOLD, dict(base, alpha=alpha.to_json())))
             else:
                 # the threshold bound meets dim/(dim+1) only on the two boundary shapes
                 shape = boundary_shape(ws)

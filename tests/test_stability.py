@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wfano
 from wfano import (
@@ -126,6 +128,15 @@ class TestAlphaLowerBound:
                 assert bound.value >= Fraction(ws.n - 1, ws.n)
 
 
+@st.composite
+def aut_finite_inputs(draw):
+    """Ascending positive weights and 1 <= c <= n degrees, none equal to a weight."""
+    weights = tuple(sorted(draw(st.lists(st.integers(1, 8), min_size=2, max_size=6))))
+    c = draw(st.integers(1, len(weights) - 1))
+    degree = st.integers(1, 40).filter(lambda d: d not in weights)
+    return weights, tuple(draw(st.lists(degree, min_size=c, max_size=c)))
+
+
 class TestAutFinite:
     def test_degree_sum_branch(self):
         assert aut_finite((1, 1, 2, 3, 6), (12,))
@@ -146,6 +157,28 @@ class TestAutFinite:
             aut_finite((1, 2, 3), (3,))
         with pytest.raises(ValueError, match="codimension"):
             aut_finite((1, 2, 3), (4, 4, 4))
+
+    @settings(max_examples=400)
+    @given(aut_finite_inputs())
+    def test_matches_the_two_clause_rule(self, case):
+        weights, degrees = case
+        n, c, total = len(weights) - 1, len(degrees), sum(degrees)
+        index = sum(weights) - total
+        assert aut_finite(weights, degrees) == (
+            total > sum(weights[-(c + 1):]) or 0 < index < n - c
+        )
+
+    def test_entry_conclusions(self):
+        finite = classify(WeightSystem((1, 1, 2, 3, 6), 12), MEMBER_FERMAT).trace[0]
+        assert finite.conclusion == (
+            "automorphism group is finite: degree sum 12 exceeds 9, "
+            "the sum of the 2 largest weights"
+        )
+        silent = classify(WeightSystem((2, 3, 3, 3, 3, 3), 6), MEMBER_FERMAT).trace[0]
+        assert silent.conclusion == (
+            "finiteness of the automorphism group is not decided: "
+            "degree sum 6 <= 6 and index 11 is not in (0, 4)"
+        )
 
 
 class TestFermatCriterion:
@@ -311,6 +344,22 @@ class TestClassify:
         assert report.verdict is Verdict.K_UNSTABLE
 
 
+# each criterion recorded on a weight system, with its inputs besides weights and degree
+WEIGHT_ENTRIES = [
+    pytest.param("index_vs_dimension", {}, id="index_vs_dimension"),
+    pytest.param("fermat_margin", {"aut_finite": True}, id="fermat_margin"),
+    pytest.param("smooth_cover", {"mode": "universal"}, id="smooth_cover_universal"),
+    pytest.param("smooth_cover", {"mode": "support", "monomials": []}, id="smooth_cover_support"),
+    pytest.param(
+        "alpha_above_threshold",
+        {"alpha": {"num": 1, "den": 1, "case": ALPHA_ALL_GE2}},
+        id="alpha_above_threshold",
+    ),
+    pytest.param("alpha_boundary_smooth", {}, id="alpha_boundary_smooth"),
+    pytest.param("alpha_boundary_star_parity", {}, id="alpha_boundary_star_parity"),
+]
+
+
 class TestTraceRecompute:
     def test_entries_recompute_exactly(self, surface_catalog):
         supports = {X60_SYSTEM: load_support(FIXTURES / "x60_p3454_15_30.json")}
@@ -333,6 +382,34 @@ class TestTraceRecompute:
         # the payload is kept for classify only: neither compared nor shown
         assert replace(cover, payload=None) == cover
         assert "payload" not in repr(cover)
+
+    @pytest.mark.parametrize(
+        "weights, degree",
+        [((1, 1, 1), 6), ((1, 2, 4), 6), ((1, 2, 3, 6), 6)],
+        ids=["not_fano", "not_divisible", "linear_cone"],
+    )
+    @pytest.mark.parametrize("criterion, extra", WEIGHT_ENTRIES)
+    def test_recompute_rejects_systems_outside_the_hypotheses(
+        self, criterion, extra, weights, degree
+    ):
+        # 1,1,1:6 has index -3 < dim 1: ungated, index_vs_dimension would call it k_stable
+        entry = TraceEntry(criterion, "", dict(extra, weights=list(weights), degree=degree), "")
+        with pytest.raises(ValueError, match="not positive|divide|linear cone"):
+            recompute_entry(entry)
+
+    def test_fermat_chain_reads_earlier_entries(self, fourfold_catalog):
+        thresholds = 0
+        for ws in fourfold_catalog.systems:
+            report = classify(ws, MEMBER_FERMAT)
+            entries = {e.criterion: e for e in report.trace}
+            assert entries["fermat_margin"].inputs["aut_finite"] is entries["aut_finiteness"].payload
+            if "alpha_above_threshold" in entries:
+                thresholds += 1
+                alpha = entries["alpha_bound"].payload.to_json()
+                assert entries["alpha_above_threshold"].inputs["alpha"] == alpha
+            for entry in report.trace:
+                assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
+        assert thresholds == 651  # 653 covered, less the two boundary shapes
 
     def test_unregistered_criterion(self):
         entry = TraceEntry("made_up", "", {}, "", None)
