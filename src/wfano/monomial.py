@@ -24,7 +24,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
-from .core import WeightSystem, semigroup_decomposition, semigroup_representable
+from .core import WeightSystem, _representable, semigroup_decomposition, semigroup_representable
 
 NOTE_COVER = "cyclic cover z_i -> z_i**a_i; ambient weight a_i becomes 1"
 NOTE_SUBSTITUTE = "generic coordinate change z_i -> z_i + lambda*M removing a linear monomial"
@@ -73,15 +73,16 @@ class Support:
         if not self.monomials:
             raise SupportError("support must contain at least one monomial")
         # canonical order: descending lexicographic, duplicates collapsed
-        unique = sorted({m.exponents for m in self.monomials}, reverse=True)
-        for exps in unique:
-            mono = Monomial(exps)
-            if mono.degree(self.weights) != self.degree:
+        by_exponents = {m.exponents: m for m in self.monomials}
+        unique = tuple(by_exponents[e] for e in sorted(by_exponents, reverse=True))
+        for mono in unique:
+            degree = mono.degree(self.weights)
+            if degree != self.degree:
                 raise SupportError(
-                    f"monomial {exps} has weighted degree {mono.degree(self.weights)}, "
+                    f"monomial {mono.exponents} has weighted degree {degree}, "
                     f"expected {self.degree}"
                 )
-        object.__setattr__(self, "monomials", tuple(Monomial(e) for e in unique))
+        object.__setattr__(self, "monomials", unique)
 
     @classmethod
     def of(cls, weights: Iterable[int], degree: int, exponent_rows: Iterable[Iterable[int]]) -> "Support":
@@ -143,12 +144,15 @@ class StarCheck:
     index: int | None = None
 
 
+def _violates_at(support: Support, mono: Monomial, i: int) -> bool:
+    """a_i outside the semigroup of the weights of mono's other variables."""
+    gens = {support.weights[j] for j, kj in enumerate(mono.exponents) if j != i and kj > 0}
+    return not semigroup_representable(support.weights[i], gens)
+
+
 def _star_violation_indices(support: Support, mono: Monomial) -> Iterable[int]:
     for i, k in enumerate(mono.exponents):
-        if k != 1 or support.weights[i] <= 1:
-            continue
-        gens = {support.weights[j] for j, kj in enumerate(mono.exponents) if j != i and kj > 0}
-        if not semigroup_representable(support.weights[i], gens):
+        if k == 1 and support.weights[i] > 1 and _violates_at(support, mono, i):
             yield i
 
 
@@ -165,9 +169,7 @@ def star_condition_at(support: Support, i: int) -> StarCheck:
     if support.weights[i] <= 1:
         raise ValueError(f"star condition at index {i} needs weight > 1, got {support.weights[i]}")
     for mono in support.monomials:
-        if mono.exponents[i] != 1:
-            continue
-        if i in set(_star_violation_indices(support, mono)):
+        if mono.exponents[i] == 1 and _violates_at(support, mono, i):
             return StarCheck(False, mono, i)
     return StarCheck(True, index=i)
 
@@ -191,6 +193,15 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
     coefficients), sized ascending, values lexicographic; witness positions are
     the lowest position per value and the coefficient vector is
     lexicographically smallest.
+
+    Only subsets that can block are tested.  Adding generators never takes
+    a_i out of the semigroup, so a subset with a value dividing a_i (1 among
+    them) never blocks, and neither does a subset with a one-smaller subset
+    that represents a_i; once every subset of one size represents a_i, the
+    search stops.  Dropping the dividing values keeps the order of the
+    remaining subsets (combinations of a sorted sublist, size by size), and
+    every skipped subset would have been passed over, so the first blocking
+    subset, and with it the witness, is the same as in the full scan.
     """
     weights = ws.weights
     a_i = weights[i]
@@ -201,13 +212,22 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
     for j, a in enumerate(weights):
         if j != i and a not in lowest_position:
             lowest_position[a] = j
-    values = sorted(lowest_position)
+    # sorted, distinct and positive: the internal membership test needs no re-check
+    values = sorted(a for a in lowest_position if a_i % a)
+    # subsets of the previous size with a_i outside their semigroup
+    outside: set[tuple[int, ...]] = {()}
     for size in range(len(values) + 1):
+        if not outside:
+            break
+        below, outside = outside, set()
         for combo in combinations(values, size):
-            if semigroup_representable(a_i, combo):
+            if any(combo[:t] + combo[t + 1:] not in below for t in range(size)):
                 continue
+            if _representable(a_i, combo):
+                continue
+            outside.add(combo)
             remainder = d - a_i - sum(combo)
-            if remainder < 0 or not semigroup_representable(remainder, combo):
+            if remainder < 0 or not _representable(remainder, combo):
                 continue
             coeffs = semigroup_decomposition(remainder, combo)
             if coeffs is None:

@@ -5,12 +5,15 @@ expanding the defining pencils with binomial coefficients and tracking
 cancellation in a Counter, so the JSON files cannot drift silently.
 """
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfano import (
     CoordinatePointError,
@@ -30,8 +33,10 @@ from wfano import (
     substitute,
     universal_star_at,
 )
+from wfano.monomial import UniversalStarCheck
 
 from conftest import FIXTURES
+from test_core import naive_decomposition, naive_representable
 
 X60 = FIXTURES / "x60_p3454_15_30.json"
 X60_DIM50 = FIXTURES / "x60_dim50_p1x49_345.json"
@@ -93,6 +98,48 @@ def dim50_expected_rows():
     coeff[(0,) * 49 + (1, 13, 1)] += 1
     coeff[(0,) * 49 + (2, 1, 10)] += 1
     return {exps for exps, value in coeff.items() if value}
+
+
+def naive_universal_star_at(ws, i):
+    """Every subset of the other distinct weight values, smallest first, each size
+    in lexicographic order, with the naive semigroup oracles."""
+    weights = ws.weights
+    a_i = weights[i]
+    values = sorted({a for j, a in enumerate(weights) if j != i})
+    for size in range(len(values) + 1):
+        for combo in combinations(values, size):
+            if naive_representable(a_i, combo):
+                continue
+            remainder = ws.degree - a_i - sum(combo)
+            if not naive_representable(remainder, combo):
+                continue
+            exps = [0] * len(weights)
+            exps[i] = 1
+            for value, m in zip(combo, naive_decomposition(remainder, combo)):
+                lowest = min(j for j, a in enumerate(weights) if j != i and a == value)
+                exps[lowest] = 1 + m
+            return UniversalStarCheck(False, Monomial(tuple(exps)))
+    return UniversalStarCheck(True)
+
+
+@st.composite
+def universal_star_systems(draw):
+    # 3 to 7 weights with repeated values and divisors of other weights (1
+    # among them); the degree need not be divisible by any weight
+    base = draw(st.lists(st.integers(2, 24), min_size=2, max_size=5))
+    top = draw(st.sampled_from(base))
+    extras = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(base),
+                st.sampled_from([c for c in range(1, top + 1) if top % c == 0]),
+            ),
+            min_size=max(0, 3 - len(base)),
+            max_size=7 - len(base),
+        )
+    )
+    weights = sorted(base + extras)
+    return WeightSystem(weights, draw(st.integers(weights[-1], 120)))
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +294,13 @@ class TestUniversalStar:
                 for i in open_positions:
                     assert star_condition_at(support, i).ok, (ws, i, subset)
 
+    @settings(max_examples=400)
+    @given(universal_star_systems())
+    def test_matches_naive_subset_scan(self, ws):
+        for i, a in enumerate(ws.weights):
+            if a > 1:
+                assert universal_star_at(ws, i) == naive_universal_star_at(ws, i), (ws, i)
+
     def test_witness_is_realizable(self):
         # a universal failure must be exhibited by some concrete support
         ws = WeightSystem((3, 4, 4, 5, 15, 30), 60)
@@ -400,6 +454,15 @@ class TestUniversalPlanner:
         assert plan.witness_weights == (1, 1, 3, 4, 4, 5)
         assert plan.witness_index == 2
         assert plan.witness == Monomial((0, 0, 1, 3, 0, 9))
+
+    def test_fourfold_and_lifted_plans_pinned(self, fourfold_catalog):
+        # every step, covered position, permutation and witness of the 661
+        # fourfold plans and of their lifts (a..., d : 2d) to dimension 5
+        systems = list(fourfold_catalog.systems)
+        systems += [WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree) for ws in systems]
+        text = "\n".join(repr(plan_cover_universal(ws)) for ws in systems)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "cd35ffebd5e5f8f9f608831ec7be6e9d3f596e77ae22766ecbfa4809c97abfe6"
 
     def test_failure_witness_degree(self):
         ws = WeightSystem((1,) * 49 + (3, 4, 5), 60)
