@@ -391,39 +391,42 @@ def _representable(target: int, gens: tuple[int, ...]) -> bool:
     return any(_least_multiple(t, b, a) is not None for t in _peeled(target, gens[2:]))
 
 
-def semigroup_representable(target: int, generators: Iterable[int]) -> bool:
-    """Is target a non-negative integer combination of the generators?"""
+def _checked_generators(generators: Iterable[int]) -> tuple[int, ...]:
+    """Sorted distinct generators; ValueError unless every one is a positive int."""
     gens = tuple(sorted(set(generators)))
     if any(not isinstance(g, int) or g <= 0 for g in gens):
         raise ValueError(f"generators must be positive integers, got {gens!r}")
+    return gens
+
+
+def semigroup_representable(target: int, generators: Iterable[int]) -> bool:
+    """Is target a non-negative integer combination of the generators?"""
+    gens = _checked_generators(generators)
     if target < 0:
         return False
     return _representable(target, gens)
 
 
-def _least_coefficient(remaining: int, g: int, rest: tuple[int, ...]) -> int:
-    """Smallest m >= 0 with remaining - m*g in <rest>; remaining lies in <g, rest>.
+def _least_coefficient(remaining: int, g: int, rest: tuple[int, ...]) -> int | None:
+    """Smallest m >= 0 with remaining - m*g in <rest>, or None when there is none.
 
-    rest is sorted and distinct.  With one generator c left, m is the closed
-    form of _least_multiple.  Otherwise m < c / gcd(g, c) for every c in rest
-    (that many g make a multiple of c), and m <= remaining // g: step m
-    through that range, or peel the multiples of rest[1:] and take the least
-    closed-form m against rest[0], whichever takes fewer steps.
+    rest is sorted and distinct.  With no generator left, m*g must be all of
+    remaining; with one generator c left, m is the closed form of
+    _least_multiple.  Otherwise any m is at most remaining // g, and the least
+    one, if any, is below c / gcd(g, c) for every c in rest (that many g make
+    a multiple of c): step m through that range, or peel the multiples of
+    rest[1:] and take the least closed-form m against rest[0], whichever
+    takes fewer steps.
     """
     if not rest:
-        m = remaining // g
-    elif len(rest) == 1:
-        m = _least_multiple(remaining, g, rest[0])
-    else:
-        limit = min(remaining // g, *(c // gcd(g, c) - 1 for c in rest))
-        if prod(remaining // c + 1 for c in rest[1:]) <= limit:
-            found = (_least_multiple(t, g, rest[0]) for t in _peeled(remaining, rest[1:]))
-            m = min((x for x in found if x is not None), default=None)
-        else:
-            m = next((x for x in range(limit + 1) if _representable(remaining - x * g, rest)), None)
-    if m is None:
-        raise AssertionError(f"{remaining} is not in the semigroup of {(g, *rest)}")
-    return m
+        return None if remaining % g else remaining // g
+    if len(rest) == 1:
+        return _least_multiple(remaining, g, rest[0])
+    limit = min(remaining // g, *(c // gcd(g, c) - 1 for c in rest))
+    if prod(remaining // c + 1 for c in rest[1:]) <= limit:
+        found = (_least_multiple(t, g, rest[0]) for t in _peeled(remaining, rest[1:]))
+        return min((x for x in found if x is not None), default=None)
+    return next((x for x in range(limit + 1) if _representable(remaining - x * g, rest)), None)
 
 
 def semigroup_decomposition(target: int, generators: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -431,19 +434,22 @@ def semigroup_decomposition(target: int, generators: tuple[int, ...]) -> tuple[i
 
     Generators are taken in the given order (duplicates allowed); the
     coefficient vector is minimized coordinate by coordinate from the left.
-    Returns None when target is not representable.
+    Returns None when target is not representable: then the first
+    coefficient already has no solution (or there are no generators).
     """
-    if not semigroup_representable(target, generators):
+    _checked_generators(generators)
+    if target < 0:
         return None
     coeffs: list[int] = []
     remaining = target
     for t, g in enumerate(generators):
         m = _least_coefficient(remaining, g, tuple(sorted(set(generators[t + 1:]))))
+        if m is None:
+            return None
         coeffs.append(m)
         remaining -= m * g
-    if remaining != 0:
-        raise AssertionError("decomposition did not consume the target")
-    return tuple(coeffs)
+    # the last coefficient consumes the rest, so only an empty generator tuple leaves any
+    return tuple(coeffs) if remaining == 0 else None
 
 
 def triple_gap(a0: int, a1: int, a2: int) -> int:

@@ -4,29 +4,30 @@ A system (a_0,...,a_n : d) with Fano index I satisfies d = sum(a_i) - I and
 a_i | d for every i.  Only well-formed systems that are not linear cones are
 listed.
 
-For index 1 the quotients b_i = d/a_i obey the unit fraction identity
-sum(1/b_i) = 1 + 1/d with every b_i >= 2 (no linear cone).  Since each b_i
+The quotients b_i = d/a_i obey the unit fraction identity
+sum(1/b_i) = 1 + I/d with every b_i >= 2 (no linear cone).  Since each b_i
 divides d, the gcd of the weights other than a_j is d / lcm(b_i : i != j), so
 the system is well-formed exactly when dropping any one quotient keeps the
-lcm equal to d.  Two consequences make the search finite and complete:
+lcm equal to d.  Two consequences make one search serve every index:
 
 * List the quotients ascending, b_0 <= ... <= b_{n-1} <= c, and drop the last
   one: well-formedness gives d = L := lcm(b_0,...,b_{n-1}).
 * With the integer partial sum sigma = sum(L/b_i), the identity becomes
-  sigma/L + 1/c = 1 + 1/L, so c = L/(L - sigma + 1), and the prefix has a
-  completion exactly when L - sigma + 1 is positive and divides L.  The last
-  weight is then d/c = L - sigma + 1.
+  sigma/L + 1/c = 1 + I/L, so c = L/(L + I - sigma), and the prefix has a
+  completion exactly when L + I - sigma is positive and divides L.  The last
+  weight is then d/c = L + I - sigma.
 
 Each candidate is tested for well-formedness once, which covers dropping
-the other quotients.  Prefix values are bounded by b < m/(1 - s) where s is
-the partial sum and m counts the remaining slots: all later values are at
-least b, so the total could not otherwise exceed 1.  Partial sums s >= 1 with
-two or more slots remaining are impossible (each remaining term is at least
-1/d, so the total would exceed 1 + 1/d).  The lcm L only grows along the
-recursion, so a degree bound d_max prunes a prefix as soon as L > d_max.
-
-For index > 1 the identity couples the unknowns less tractably; the search is
-a bounded divisor-multiset scan per degree and requires an explicit d_max.
+the other quotients.  While the partial sum s is below 1, prefix values are
+bounded by b < m/(1 - s), where m counts the remaining slots: all later
+values are at least b, so the total could not otherwise exceed 1.  Partial
+sums s >= 1 + (I - 1)/L with two or more slots remaining are impossible
+(each remaining term is at least 1/d and d >= L, so the total would exceed
+1 + I/d).  At index 1 that leaves s < 1 at every prefix, and the search is
+finite without a degree bound.  Above index 1 a prefix with s >= 1 bounds the
+next quotient only by d_max, which is then required: (1,1,a,a : 2a) has
+index 2 for every a.  The lcm L only grows along the recursion, so a degree
+bound d_max prunes a prefix as soon as L > d_max.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import isqrt, lcm
+from math import lcm
 from pathlib import Path
 
 from .core import WeightSystem, precondition_errors
@@ -82,21 +83,23 @@ class EnumerationResult:
     complete: bool
 
 
-def _index_one_systems(num_weights: int, d_max: int | None) -> list[WeightSystem]:
-    """All index-1 systems via the ascending quotient recursion (see module docstring)."""
+def _lcm_systems(num_weights: int, index: int, d_max: int | None) -> list[WeightSystem]:
+    """All systems of one index via the ascending quotient recursion (see module docstring)."""
     found: list[WeightSystem] = []
 
     def extend(chosen: list[int], slots: int, big_l: int, sigma: int) -> None:
         if slots == 1:
-            last_weight = big_l - sigma + 1  # d/c with d = L and c = L/(L - sigma + 1)
+            last_weight = big_l + index - sigma  # d/c with d = L and c = L/(L + I - sigma)
             if last_weight >= 1 and big_l % last_weight == 0 and big_l // last_weight >= chosen[-1]:
                 ws = WeightSystem.of([big_l // b for b in chosen] + [last_weight], big_l)
                 if ws.well_formed:
                     found.append(ws)
             return
-        if sigma >= big_l:
-            return  # partial sum >= 1 with two or more slots left is impossible
-        hi = (slots * big_l - 1) // (big_l - sigma)
+        if sigma >= big_l + index - 1:
+            return  # s >= 1 + (I - 1)/L leaves under 2/d for two or more slots
+        hi = (slots * big_l - 1) // (big_l - sigma) if sigma < big_l else d_max
+        if d_max is not None and hi > d_max:
+            hi = d_max
         for b in range(chosen[-1] if chosen else 2, hi + 1):
             new_l = lcm(big_l, b)
             if d_max is None or new_l <= d_max:
@@ -106,44 +109,15 @@ def _index_one_systems(num_weights: int, d_max: int | None) -> list[WeightSystem
     return found
 
 
-def _bounded_index_systems(num_weights: int, index: int, d_max: int) -> list[WeightSystem]:
-    """Divisor-multiset scan per degree for index > 1."""
-    found: list[WeightSystem] = []
-    for d in range(2, d_max + 1):
-        small = [a for a in range(1, isqrt(d) + 1) if d % a == 0]
-        divs = sorted({*small, *(d // a for a in small)} - {d})  # a = d is a linear cone
-
-        def pick(start: int, left: int, remaining: int, acc: list[int]) -> None:
-            if left == 0:
-                if remaining == 0:
-                    ws = WeightSystem(tuple(acc), d)
-                    if ws.well_formed:
-                        found.append(ws)
-                return
-            for idx in range(start, len(divs)):
-                a = divs[idx]
-                if a * left > remaining:
-                    break  # ascending: every later pick is at least a
-                if remaining - a > divs[-1] * (left - 1):
-                    continue
-                pick(idx, left - 1, remaining - a, acc + [a])
-
-        pick(0, num_weights, d + index, [])
-    return found
-
-
 def enumerate_systems(query: EnumerationQuery) -> EnumerationResult:
     """All well-formed, non-cone systems with sum(a_i) - d = index and a_i | d.
 
     Index 1 needs no degree bound; a given d_max truncates the catalog and
     marks it incomplete.  Index > 1 requires d_max.
     """
-    if query.index == 1:
-        systems = _index_one_systems(query.num_weights, query.d_max)
-    elif query.d_max is None:
+    if query.index > 1 and query.d_max is None:
         raise ValueError("enumeration with index > 1 is unbounded; an explicit d_max is required")
-    else:
-        systems = _bounded_index_systems(query.num_weights, query.index, query.d_max)
+    systems = _lcm_systems(query.num_weights, query.index, query.d_max)
     unique = sorted(set(systems))
     for ws in unique:
         if ws.index != query.index or not ws.well_formed or precondition_errors(ws):

@@ -408,48 +408,3 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
         steps.append(CoverStep(kind="cover", index=chosen, note=NOTE_COVER, permutation=perm))
         current = WeightSystem(new_weights, current.degree)
     return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
-
-
-class CoordinatePointError(ValueError):
-    """No monomial allows moving a coordinate point off the hypersurface."""
-
-    def __init__(self, index: int, reason: str) -> None:
-        super().__init__(f"variable {index}: {reason}")
-        self.index = index
-
-
-def move_coordinate_points(support: Support) -> Support:
-    """Arrange, by generic substitutions, that every variable has its pure power.
-
-    For each i lacking z_i^(d/a_i), a monomial z_j * z_i^c (with a_i | a_j so
-    the change z_j -> z_j + lambda * z_i^(a_j/a_i) is polynomial) produces the
-    missing pure power after substitution.  Raises CoordinatePointError naming
-    the first variable for which no such monomial exists.
-    """
-    current = support
-    d = support.degree
-    for i, a_i in enumerate(support.weights):
-        if d % a_i != 0:
-            raise CoordinatePointError(i, f"weight {a_i} does not divide the degree {d}")
-        pure = tuple(d // a_i if j == i else 0 for j in range(len(support.weights)))
-        if any(mono.exponents == pure for mono in current.monomials):
-            continue
-        candidates = []
-        for mono in current.monomials:
-            others = [(j, k) for j, k in enumerate(mono.exponents) if j != i and k > 0]
-            if len(others) == 1 and others[0][1] == 1 and mono.exponents[i] > 0:
-                j = others[0][0]
-                if current.weights[j] % a_i == 0:
-                    candidates.append(j)
-        if not candidates:
-            raise CoordinatePointError(
-                i, "no monomial z_j * z_i^c with a_i | a_j; cannot create the pure power"
-            )
-        j = min(candidates)
-        exps = tuple(
-            current.weights[j] // a_i if t == i else 0 for t in range(len(support.weights))
-        )
-        current = substitute(current, j, Monomial(exps))
-        if not any(mono.exponents == pure for mono in current.monomials):
-            raise AssertionError(f"substitution at variable {j} did not create the pure power of {i}")
-    return current

@@ -328,6 +328,17 @@ class TestSemigroupDecomposition:
     def test_unrepresentable_returns_none(self):
         assert semigroup_decomposition(5, (3, 4)) is None
 
+    def test_input_edges(self):
+        assert semigroup_decomposition(-3, (3, 4)) is None
+        assert semigroup_decomposition(0, ()) == ()
+        assert semigroup_decomposition(7, ()) is None
+        # 9 is a gap of <5, 6, 7>, and the first coefficient already has no solution
+        assert semigroup_decomposition(9, (5, 6, 7)) is None
+        with pytest.raises(ValueError, match="positive"):
+            semigroup_decomposition(6, (3, 0))
+        with pytest.raises(ValueError, match="positive"):
+            semigroup_decomposition(6, (3, 1.5))
+
     def test_duplicate_generators(self):
         gens = (3, 3, 4)
         assert semigroup_decomposition(10, gens) == naive_decomposition(10, gens)

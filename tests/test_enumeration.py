@@ -1,5 +1,6 @@
 """Enumeration: completeness, filters, rendering, catalog persistence."""
 
+import hashlib
 import json
 
 import pytest
@@ -63,12 +64,43 @@ def test_index_above_one_requires_dmax():
         enumerate_systems(EnumerationQuery(num_weights=4, index=2))
 
 
-def test_index_two_matches_bruteforce():
-    bounded = enumerate_systems(EnumerationQuery(num_weights=4, index=2, d_max=12))
-    assert len(bounded.systems) == 9
-    # a_max = 12 covers every weight of a degree <= 12 divisible system
-    oracle = [ws for ws in enumerate_bruteforce(4, 2, 12).systems if ws.degree <= 12]
-    assert list(bounded.systems) == oracle
+@pytest.mark.parametrize(
+    "num_weights, index, d_max, count",
+    [
+        (4, 2, 12, 9),
+        (4, 2, 60, 34),
+        (5, 2, 40, 58),
+        (6, 2, 24, 54),
+        (4, 3, 60, 14),
+        (5, 3, 40, 36),
+        (6, 3, 24, 46),
+        (4, 4, 60, 14),
+    ],
+)
+def test_index_two_matches_bruteforce(num_weights, index, d_max, count):
+    bounded = enumerate_systems(EnumerationQuery(num_weights=num_weights, index=index, d_max=d_max))
+    assert len(bounded.systems) == count
+    # no linear cones, so every weight of a degree <= d_max system is at most d_max // 2
+    oracle = enumerate_bruteforce(num_weights, index, d_max // 2).systems
+    assert list(bounded.systems) == [ws for ws in oracle if ws.degree <= d_max]
+
+
+@pytest.mark.parametrize(
+    "num_weights, index, d_max, count, digest",
+    [
+        (4, 2, 3000, 1504, "f7432678c7cdf604803130dd9d6e4dad9a526cb1c19e5c49ba99e795345730b0"),
+        (5, 2, 3000, 2335, "e8cfddd4d92d1f00a0953b23b8f3a12bec3d38d7e36850fabb1e8c9d518fcd8a"),
+        (6, 2, 600, 1876, "fa5b3549fcb699be70b74c5a75cf401520c8bba3eedbd46856dc01f38953bfb3"),
+        (5, 3, 600, 441, "5f69de006e26a0881b260156fcf6cc41517cadcdafce39d740322137e264e680"),
+        (6, 3, 300, 754, "fec6c0469edf1cd2fa6e34266ff58f04d1ece7da7614b39ea08f0e814cc72052"),
+        (6, 4, 400, 1511, "328752258561927e8b04bc3bff9c5546efc88df11ee96dc2c973f0f51034f3c1"),
+    ],
+)
+def test_large_dmax_catalogs_pinned(num_weights, index, d_max, count, digest):
+    result = enumerate_systems(EnumerationQuery(num_weights=num_weights, index=index, d_max=d_max))
+    assert len(result.systems) == count
+    text = render_table(result, "json")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("num_weights, count", [(6, 77), (7, 155)])

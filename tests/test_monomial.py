@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfano import (
-    CoordinatePointError,
     Monomial,
     Support,
     SupportError,
@@ -24,7 +23,6 @@ from wfano import (
     apply_cover,
     fermat_support,
     load_support,
-    move_coordinate_points,
     plan_cover_for_support,
     plan_cover_universal,
     save_support,
@@ -470,28 +468,3 @@ class TestUniversalPlanner:
         assert not plan.ok
         assert plan.witness.degree(plan.witness_weights) == 60
         assert plan.witness.exponents[plan.witness_index] == 1
-
-
-class TestMoveCoordinatePoints:
-    def test_creates_missing_pure_power(self):
-        support = Support.of((3, 6), 12, [(0, 2), (2, 1)])
-        result = move_coordinate_points(support)
-        rows = {m.exponents for m in result.monomials}
-        assert (4, 0) in rows
-        assert (0, 2) in rows
-
-    def test_noop_when_pure_powers_present(self):
-        support = fermat_support(WeightSystem((1, 1, 2, 3), 6))
-        assert move_coordinate_points(support) == support
-
-    def test_no_candidate(self):
-        support = Support.of((2, 3), 6, [(3, 0)])
-        with pytest.raises(CoordinatePointError, match="pure power") as info:
-            move_coordinate_points(support)
-        assert info.value.index == 1
-
-    def test_degree_divisibility_required(self):
-        support = Support.of((2, 3), 4, [(2, 0)])
-        with pytest.raises(CoordinatePointError, match="divide") as info:
-            move_coordinate_points(support)
-        assert info.value.index == 1
