@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd
 from typing import Iterable, Iterator
 
 
@@ -305,35 +305,6 @@ def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
     )
 
 
-def _apery_table(gens: tuple[int, ...]) -> list[int]:
-    """Smallest element of <gens> in each residue class modulo gens[0].
-
-    The round-robin algorithm of Böcker & Lipták ("A fast and simple algorithm
-    for the money changing problem", Algorithmica 2007): about
-    len(gens) * gens[0] steps, whatever the target.  gens are sorted, distinct
-    and coprime, so every class is reached.
-    """
-    a = gens[0]
-    # a smallest element uses every other generator fewer than a times
-    unreached = a * sum(gens)
-    table = [unreached] * a
-    table[0] = 0
-    for b in gens[1:]:
-        h = gcd(a, b)
-        for r in range(h):
-            n = min(table[r::h])
-            if n == unreached:
-                continue
-            for _ in range(a // h - 1):
-                n += b
-                p = n % a
-                if table[p] < n:
-                    n = table[p]
-                else:
-                    table[p] = n
-    return table
-
-
 def _least_multiple(target: int, g: int, c: int) -> int | None:
     """Least m >= 0 with target - m*g a non-negative multiple of c, or None.
 
@@ -348,51 +319,52 @@ def _least_multiple(target: int, g: int, c: int) -> int | None:
     return m if m * g <= target else None
 
 
-def _peeled(target: int, large: tuple[int, ...]) -> Iterator[int]:
-    """target minus every sum of multiples of large that stays >= 0."""
+def _peeled(target: int, a: int, large: tuple[int, ...]) -> Iterator[int]:
+    """target minus every sum of multiples of large that stays >= 0, each c
+    in large taken fewer than a / gcd(a, c) times.
+
+    The cap loses no combination that may also use a: with h = gcd(a, c),
+    a/h copies of c make the same sum as c/h copies of a.
+    """
     if not large:
         yield target
         return
     c = large[-1]
-    for m in range(target // c + 1):
-        yield from _peeled(target - m * c, large[:-1])
+    for m in range(min(target // c, a // gcd(a, c) - 1) + 1):
+        yield from _peeled(target - m * c, a, large[:-1])
 
 
 def _representable(target: int, gens: tuple[int, ...]) -> bool:
     """Membership of target >= 0 in <gens>, for sorted distinct positive gens.
 
-    Exact shortcuts first, the last of them the closed form for a coprime
-    pair; otherwise the cheaper of the Apéry table (about k * a_1 steps,
-    built per call) and peeling the multiples of the generators above the
-    two smallest (prod(t // c + 1) pair tests).
+    Exact shortcuts first; below Schur's bound, peel the capped multiples of
+    the generators above the two smallest a < b and ask the closed form of
+    _least_multiple whether a remainder lies in <a, b>.
     """
     if target == 0:
         return True
     if not gens or target < gens[0]:
         return False
-    if gens[0] == 1:
-        return True
-    if len(gens) == 1:
-        return target % gens[0] == 0
     h = gcd(*gens)
     if target % h:
         return False
     if h > 1:
         target //= h
         gens = tuple(g // h for g in gens)
-    a, b = gens[0], gens[1]
+    a = gens[0]
+    if a == 1:
+        return True
     # Schur: every integer above (a_1 - 1)(a_k - 1) - 1 lies in <gens>
     if target > (a - 1) * (gens[-1] - 1) - 1:
         return True
-    if len(gens) == 2:
-        return _least_multiple(target, b, a) is not None
-    if len(gens) * a <= prod(target // c + 1 for c in gens[2:]):
-        return target >= _apery_table(gens)[target % a]
-    return any(_least_multiple(t, b, a) is not None for t in _peeled(target, gens[2:]))
+    return any(_least_multiple(t, gens[1], a) is not None for t in _peeled(target, a, gens[2:]))
 
 
-def _checked_generators(generators: Iterable[int]) -> tuple[int, ...]:
-    """Sorted distinct generators; ValueError unless every one is a positive int."""
+def _checked_inputs(target: int, generators: Iterable[int]) -> tuple[int, ...]:
+    """Sorted distinct generators; ValueError unless target is an int and
+    every generator a positive int."""
+    if not isinstance(target, int):
+        raise ValueError(f"target must be an integer, got {target!r}")
     gens = tuple(sorted(set(generators)))
     if any(not isinstance(g, int) or g <= 0 for g in gens):
         raise ValueError(f"generators must be positive integers, got {gens!r}")
@@ -401,7 +373,7 @@ def _checked_generators(generators: Iterable[int]) -> tuple[int, ...]:
 
 def semigroup_representable(target: int, generators: Iterable[int]) -> bool:
     """Is target a non-negative integer combination of the generators?"""
-    gens = _checked_generators(generators)
+    gens = _checked_inputs(target, generators)
     if target < 0:
         return False
     return _representable(target, gens)
@@ -411,22 +383,13 @@ def _least_coefficient(remaining: int, g: int, rest: tuple[int, ...]) -> int | N
     """Smallest m >= 0 with remaining - m*g in <rest>, or None when there is none.
 
     rest is sorted and distinct.  With no generator left, m*g must be all of
-    remaining; with one generator c left, m is the closed form of
-    _least_multiple.  Otherwise any m is at most remaining // g, and the least
-    one, if any, is below c / gcd(g, c) for every c in rest (that many g make
-    a multiple of c): step m through that range, or peel the multiples of
-    rest[1:] and take the least closed-form m against rest[0], whichever
-    takes fewer steps.
+    remaining; otherwise the least closed-form m against a = rest[0] over the
+    capped peel of rest[1:] by a.
     """
     if not rest:
         return None if remaining % g else remaining // g
-    if len(rest) == 1:
-        return _least_multiple(remaining, g, rest[0])
-    limit = min(remaining // g, *(c // gcd(g, c) - 1 for c in rest))
-    if prod(remaining // c + 1 for c in rest[1:]) <= limit:
-        found = (_least_multiple(t, g, rest[0]) for t in _peeled(remaining, rest[1:]))
-        return min((x for x in found if x is not None), default=None)
-    return next((x for x in range(limit + 1) if _representable(remaining - x * g, rest)), None)
+    found = (_least_multiple(t, g, rest[0]) for t in _peeled(remaining, rest[0], rest[1:]))
+    return min((m for m in found if m is not None), default=None)
 
 
 def semigroup_decomposition(target: int, generators: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -437,7 +400,7 @@ def semigroup_decomposition(target: int, generators: tuple[int, ...]) -> tuple[i
     Returns None when target is not representable: then the first
     coefficient already has no solution (or there are no generators).
     """
-    _checked_generators(generators)
+    _checked_inputs(target, generators)
     if target < 0:
         return None
     coeffs: list[int] = []

@@ -2,12 +2,16 @@
 
 The semigroup routines are checked against deliberately naive oracles (a
 table-filling membership test and an exhaustive lexicographic search) so that
-the closed forms, residue tables and peeling are never trusted on their own word.
+the closed forms and the capped peeling are never trusted on their own word.
 """
 
 import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -221,6 +225,45 @@ class TestSemigroupMembership:
         with pytest.raises(ValueError, match="positive"):
             semigroup_representable(4, (-1, 3))
 
+    def test_rejects_non_integer_target(self):
+        for gens in ((1,), (1, 7), (2, 3)):
+            with pytest.raises(ValueError, match="target"):
+                semigroup_representable(2.5, gens)
+        with pytest.raises(ValueError, match="target"):
+            semigroup_representable(6.0, (2, 3))
+        with pytest.raises(ValueError, match="target"):
+            semigroup_representable(Fraction(6), (2, 3))
+
+
+CAPPED_MEMBERSHIP = """
+import resource, sys
+cap = 400 << 20
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+from wfano import semigroup_representable
+print(semigroup_representable(int(sys.argv[1]), tuple(map(int, sys.argv[2:]))))
+"""
+
+
+def test_membership_near_ten_million_within_memory_cap():
+    a = 10**7
+    gens = (a, a + 1, 12_500_000, 15_000_000)
+    # one below Schur's bound (a_1 - 1)(a_k - 1) - 1, so no shortcut answers
+    target = (a - 1) * (gens[-1] - 1) - 2
+    # above the Frobenius number of the first two generators, so in <gens>
+    assert target > a * (a + 1) - a - (a + 1)
+    src = str(Path(wfano.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", CAPPED_MEMBERSHIP, str(target), *map(str, gens)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True"]
+    assert elapsed < 20, f"took {elapsed:.1f} s"
+
 
 # one strategy per branch of semigroup_representable; targets stay small
 # enough for the table of naive_representable
@@ -252,7 +295,8 @@ def above_schur_bound(draw):
 @st.composite
 def small_first_large_target(draw):
     # three or more generators above a small a_1, target below Schur's bound
-    # and large against the rest: the residue (Apéry) table
+    # and large against the rest: a peel with several multiples of each
+    # generator above the two smallest
     a = draw(st.integers(2, 7))
     rest = draw(st.lists(st.integers(a + 1, 60), min_size=2, max_size=4, unique=True))
     gens = (a, *rest)
@@ -267,6 +311,20 @@ def large_generators_small_target(draw):
     return draw(st.integers(0, 3 * min(gens))), tuple(gens)
 
 
+@st.composite
+def shared_factor_with_first(draw):
+    # 4-6 generators; those above the two smallest share a large factor f
+    # with a_1, so the exchange caps their multiples at a_1/gcd(a_1, c) - 1,
+    # below t // c; target below Schur's bound
+    f = draw(st.integers(3, 10))
+    a = f * draw(st.integers(1, 3))
+    b = draw(st.integers(a + 1, a + 20))
+    large = draw(st.lists(st.integers(b // f + 1, b // f + 12), min_size=2, max_size=4, unique=True))
+    gens = (a, b, *(f * v for v in large))
+    assume(gcd(*gens) == 1)
+    return draw(st.integers(0, (a - 1) * (max(gens) - 1) - 1)), gens
+
+
 membership_cases = st.one_of(
     one_generator,
     common_gcd(),
@@ -274,6 +332,7 @@ membership_cases = st.one_of(
     above_schur_bound(),
     small_first_large_target(),
     large_generators_small_target(),
+    shared_factor_with_first(),
 )
 
 
@@ -286,9 +345,13 @@ class TestSemigroupProperties:
 
     @settings(max_examples=300)
     @given(
-        st.lists(st.integers(2, 12), min_size=1, max_size=3).flatmap(
-            # duplicates, and pairs where one distinct generator remains
-            lambda gens: st.tuples(st.integers(0, 60), st.sampled_from((gens, gens + gens[-1:])))
+        st.one_of(
+            st.lists(st.integers(2, 12), min_size=1, max_size=3).flatmap(
+                # duplicates, and pairs where one distinct generator remains
+                lambda gens: st.tuples(st.integers(0, 60), st.sampled_from((gens, gens + gens[-1:])))
+            ),
+            # four distinct generators: the first coefficient peels the two largest others
+            st.tuples(st.integers(0, 60), st.lists(st.integers(2, 12), min_size=4, max_size=4, unique=True)),
         )
     )
     def test_decomposition_matches_exhaustive_search(self, case):
@@ -338,6 +401,10 @@ class TestSemigroupDecomposition:
             semigroup_decomposition(6, (3, 0))
         with pytest.raises(ValueError, match="positive"):
             semigroup_decomposition(6, (3, 1.5))
+        with pytest.raises(ValueError, match="target"):
+            semigroup_decomposition(6.0, (2, 3))
+        with pytest.raises(ValueError, match="target"):
+            semigroup_decomposition(-3.0, (2, 3))
 
     def test_duplicate_generators(self):
         gens = (3, 3, 4)

@@ -543,3 +543,17 @@ def test_large_fivefolds_classify_within_memory_cap():
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == [Verdict.K_STABLE.value] * 2
     assert elapsed < 20, f"took {elapsed:.1f} s"
+
+
+def test_fivefolds_that_reached_the_residue_table_pinned():
+    # the 109 fivefolds whose planning once took membership from a residue
+    # (Apéry) table: their verdicts and universal plans, step by step
+    specs = json.loads((FIXTURES / "fivefold_table_inputs.json").read_text(encoding="utf-8"))["systems"]
+    assert len(specs) == 109
+    lines = []
+    for spec in specs:
+        weights, degree = spec.split(":")
+        ws = WeightSystem.of(map(int, weights.split(",")), int(degree))
+        lines.append(f"{spec} {classify(ws).verdict.value} {plan_cover_universal(ws)!r}")
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "9a1c25f048ade0daa72c9137a6fff397c6a141011ae54b92d21df76dbc46394d"
