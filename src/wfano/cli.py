@@ -173,8 +173,6 @@ def star_check(support_path: str, index: int | None) -> None:
     if index is None:
         check = star_condition(support)
     else:
-        if not 0 <= index < len(support.weights):
-            raise ValueError(f"position {index} out of range for {len(support.weights)} variables")
         check = star_condition_at(support, index)
     if check.ok:
         click.echo("star condition holds")

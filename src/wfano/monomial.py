@@ -144,6 +144,13 @@ class StarCheck:
     index: int | None = None
 
 
+def _weight_at(weights: tuple[int, ...], i: int) -> int:
+    """a_i; ValueError unless 0 <= i < len(weights), so no negative index wraps."""
+    if not 0 <= i < len(weights):
+        raise ValueError(f"position {i} out of range for {len(weights)} variables")
+    return weights[i]
+
+
 def _violates_at(support: Support, mono: Monomial, i: int) -> bool:
     """a_i outside the semigroup of the weights of mono's other variables."""
     gens = {support.weights[j] for j, kj in enumerate(mono.exponents) if j != i and kj > 0}
@@ -166,8 +173,9 @@ def star_condition(support: Support) -> StarCheck:
 
 def star_condition_at(support: Support, i: int) -> StarCheck:
     """The per-index restriction; requires weight a_i > 1."""
-    if support.weights[i] <= 1:
-        raise ValueError(f"star condition at index {i} needs weight > 1, got {support.weights[i]}")
+    a_i = _weight_at(support.weights, i)
+    if a_i <= 1:
+        raise ValueError(f"star condition at index {i} needs weight > 1, got {a_i}")
     for mono in support.monomials:
         if mono.exponents[i] == 1 and _violates_at(support, mono, i):
             return StarCheck(False, mono, i)
@@ -194,17 +202,16 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
     the lowest position per value and the coefficient vector is
     lexicographically smallest.
 
-    Only subsets that can block are tested.  Adding generators never takes
-    a_i out of the semigroup, so a subset with a value dividing a_i (1 among
-    them) never blocks, and neither does a subset with a one-smaller subset
-    that represents a_i; once every subset of one size represents a_i, the
-    search stops.  Dropping the dividing values keeps the order of the
-    remaining subsets (combinations of a sorted sublist, size by size), and
-    every skipped subset would have been passed over, so the first blocking
-    subset, and with it the witness, is the same as in the full scan.
+    Adding generators never takes a_i out of the semigroup.  So a subset with
+    a value dividing a_i (1 among them) never blocks, and those values are
+    dropped, which keeps the order of the remaining subsets (combinations of a
+    sorted sublist, size by size).  Every other subset is tested directly, and
+    once every subset of one size represents a_i, so does every larger one and
+    the search stops.  The first blocking subset, and with it the witness, is
+    the same as in the full scan.
     """
     weights = ws.weights
-    a_i = weights[i]
+    a_i = _weight_at(weights, i)
     if a_i <= 1:
         raise ValueError(f"universal star check at index {i} needs weight > 1, got {a_i}")
     d = ws.degree
@@ -214,18 +221,12 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
             lowest_position[a] = j
     # sorted, distinct and positive: the internal membership test needs no re-check
     values = sorted(a for a in lowest_position if a_i % a)
-    # subsets of the previous size with a_i outside their semigroup
-    outside: set[tuple[int, ...]] = {()}
     for size in range(len(values) + 1):
-        if not outside:
-            break
-        below, outside = outside, set()
+        blocked = False  # some subset of this size has a_i outside its semigroup
         for combo in combinations(values, size):
-            if any(combo[:t] + combo[t + 1:] not in below for t in range(size)):
-                continue
             if _representable(a_i, combo):
                 continue
-            outside.add(combo)
+            blocked = True
             remainder = d - a_i - sum(combo)
             if remainder < 0 or not _representable(remainder, combo):
                 continue
@@ -237,6 +238,8 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
             for value, m in zip(combo, coeffs):
                 exps[lowest_position[value]] = 1 + m
             return UniversalStarCheck(False, Monomial(tuple(exps)))
+        if not blocked:
+            break
     return UniversalStarCheck(True)
 
 
@@ -254,7 +257,7 @@ def apply_cover(support: Support, i: int) -> tuple[Support, tuple[int, ...]]:
     The new ambient is re-sorted canonically; the returned permutation maps
     new positions to old ones (perm[new] = old), stable on ties.
     """
-    a_i = support.weights[i]
+    a_i = _weight_at(support.weights, i)
     if a_i <= 1:
         raise ValueError(f"cover at index {i} needs weight > 1, got {a_i}")
     new_weights, perm = _cover_permutation(support.weights, i)
@@ -274,11 +277,11 @@ def substitute(support: Support, i: int, replacement: Monomial) -> Support:
     k_i = t > 0 contributes the expansions z_i^(t-r) * M^r for r = 0..t; the
     result is the union with the original support (no cancellation is assumed).
     """
+    a_i = _weight_at(support.weights, i)
     if len(replacement.exponents) != len(support.weights):
         raise ValueError("replacement monomial does not match the ambient variable count")
     if replacement.exponents[i] != 0:
         raise ValueError(f"replacement monomial must not involve variable {i}")
-    a_i = support.weights[i]
     if replacement.degree(support.weights) != a_i:
         raise ValueError(
             f"replacement monomial has degree {replacement.degree(support.weights)}, "
@@ -383,19 +386,15 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
     steps: list[CoverStep] = []
     while any(a > 1 for a in current.weights):
         first_blocked: tuple[int, UniversalStarCheck] | None = None
-        chosen: int | None = None
         for i, a in enumerate(current.weights):
             if a <= 1:
                 continue
             result = universal_star_at(current, i)
             if result.ok:
-                chosen = i
                 break
             if first_blocked is None:
                 first_blocked = (i, result)
-        if chosen is None:
-            if first_blocked is None:
-                raise AssertionError("no position of weight above 1 was examined")
+        else:  # every position of weight above 1 blocks; the while condition saw one
             blocked_index, blocked = first_blocked
             return CoverPlan(
                 steps=tuple(steps),
@@ -404,7 +403,7 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
                 witness_index=blocked_index,
                 witness_weights=current.weights,
             )
-        new_weights, perm = _cover_permutation(current.weights, chosen)
-        steps.append(CoverStep(kind="cover", index=chosen, note=NOTE_COVER, permutation=perm))
+        new_weights, perm = _cover_permutation(current.weights, i)
+        steps.append(CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=perm))
         current = WeightSystem(new_weights, current.degree)
     return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)

@@ -9,7 +9,7 @@ import hashlib
 import random
 from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +31,7 @@ from wfano import (
     substitute,
     universal_star_at,
 )
+from wfano import monomial
 from wfano.monomial import UniversalStarCheck
 
 from conftest import FIXTURES
@@ -299,6 +300,25 @@ class TestUniversalStar:
             if a > 1:
                 assert universal_star_at(ws, i) == naive_universal_star_at(ws, i), (ws, i)
 
+    def test_search_stops_after_first_size_without_blocking_subset(self, monkeypatch):
+        # 1000003 lies outside the semigroup of the empty set and of each prime
+        # alone, and inside that of every pair; without the per-size stop all
+        # 2**20 subsets would be tested
+        primes = [p for p in range(2, 72) if all(p % q for q in range(2, p))]
+        ws = WeightSystem(primes + [1000003], 1000003 * prod(primes))
+        calls = []
+        real = monomial._representable
+
+        def counted(target, gens):
+            calls.append((target, gens))
+            return real(target, gens)
+
+        monkeypatch.setattr(monomial, "_representable", counted)
+        assert universal_star_at(ws, len(primes)).ok
+        # 1 + 20 + 190 subsets tested against a_i, 21 remainders tested
+        assert sum(1 for target, _ in calls if target == 1000003) == 1 + 20 + 190
+        assert len(calls) == 232
+
     def test_witness_is_realizable(self):
         # a universal failure must be exhibited by some concrete support
         ws = WeightSystem((3, 4, 4, 5, 15, 30), 60)
@@ -312,6 +332,31 @@ class TestUniversalStar:
             rows += [m.exponents for m in fermat_support(ws).monomials]
             support = Support.of(ws.weights, ws.degree, rows)
             assert not star_condition_at(support, i).ok
+
+
+class TestPositionRange:
+    """Every per-position entry point rejects a position outside the ambient;
+    a negative one must not wrap around to a variable from the end."""
+
+    @pytest.mark.parametrize("position", [-1, -5, -6])
+    def test_negative_position_rejected(self, x60, position):
+        self._assert_rejected(x60, position)
+
+    @pytest.mark.parametrize("position", [6, 9])
+    def test_too_large_position_rejected(self, x60, position):
+        self._assert_rejected(x60, position)
+
+    @staticmethod
+    def _assert_rejected(support, position):
+        calls = (
+            lambda: star_condition_at(support, position),
+            lambda: universal_star_at(support.system, position),
+            lambda: apply_cover(support, position),
+            lambda: substitute(support, position, Monomial((0,) * len(support.weights))),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="out of range"):
+                call()
 
 
 class TestApplyCover:

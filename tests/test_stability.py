@@ -34,6 +34,7 @@ from wfano import (
     aut_finite,
     batch_classify,
     classify,
+    enumerate_systems,
     fermat_k_stability,
     join_verdicts,
     load_support,
@@ -264,6 +265,34 @@ class TestClassify:
         assert len(report.trace) == 1
         assert report.trace[0].verdict is None
         assert "criterion silent" in report.trace[0].conclusion
+
+    @pytest.mark.parametrize(
+        "dim, index, d_max, count, stable",
+        [
+            (3, 2, 3000, 2335, True),
+            (4, 2, 1000, 2687, True),
+            (4, 3, 1000, 1956, True),
+            (2, 2, 2000, 1004, False),
+            (3, 3, 3000, 2142, False),
+            (4, 4, 1000, 3262, False),
+        ],
+    )
+    def test_general_members_of_higher_index_catalogs(self, dim, index, d_max, count, stable):
+        # the paper's second claim: a general member of Fano index below its
+        # dimension is K-stable; at index >= dim nothing else applies above index 1
+        query = EnumerationQuery(num_weights=dim + 2, index=index, d_max=d_max)
+        systems = enumerate_systems(query).systems
+        assert len(systems) == count
+        if stable:
+            verdict, criteria = Verdict.K_STABLE, ["index_vs_dimension", "kahler_einstein"]
+        else:
+            verdict, criteria = Verdict.UNKNOWN, ["index_vs_dimension"]
+        for ws in systems:
+            report = classify(ws, MEMBER_GENERAL)
+            assert report.verdict is verdict, ws
+            assert [entry.criterion for entry in report.trace] == criteria, ws
+            for entry in report.trace:
+                assert recompute_entry(entry) == (entry.conclusion, entry.verdict), ws
 
     def test_boundary_smooth_shape(self):
         report = classify(WeightSystem((1, 1, 1, 1, 1), 4), MEMBER_ANY)
