@@ -11,18 +11,37 @@ the system is well-formed exactly when dropping any one quotient keeps the
 lcm equal to d.  Two consequences make one search serve every index:
 
 * List the quotients ascending, b_0 <= ... <= b_{n-1} <= c, and drop the last
-  one: well-formedness gives d = L := lcm(b_0,...,b_{n-1}).
-* With the integer partial sum sigma = sum(L/b_i), the identity becomes
-  sigma/L + 1/c = 1 + I/L, so c = L/(L + I - sigma), and the prefix has a
-  completion exactly when L + I - sigma is positive and divides L.  The last
-  weight is then d/c = L + I - sigma.
+  one: well-formedness gives d = lcm(b_0,...,b_{n-1}).
+* The recursion picks b_0,...,b_{n-2} and carries L = lcm(b_0,...,b_{n-2})
+  and the integer partial sum sigma = sum(L/b_i).  The last two quotients
+  follow in closed form.  With P = L - sigma and g = gcd(L, b) for the
+  second-to-last quotient b = b_{n-1}, the degree is d = L*b/g, and the
+  identity sum(1/b_i) = 1 + I/d gives the last weight
+  w = d/c = (b*P - L)/g + I.  A b is kept when 1 <= w <= L/g (so c >= b),
+  w | d, and d <= d_max when a bound is given.
 
-Each candidate is tested for well-formedness once, which covers dropping
-the other quotients.  While the partial sum s is below 1, prefix values are
-bounded by b < m/(1 - s), where m counts the remaining slots: all later
-values are at least b, so the total could not otherwise exceed 1.  Partial
-sums s >= 1 + (I - 1)/L with two or more slots remaining are impossible
-(each remaining term is at least 1/d and d >= L, so the total would exceed
+The window for b follows from 1 <= w <= L/g, that is
+L - (I - 1)*g <= b*P <= 2L - I*g:
+
+* P > 0: b <= (2L - 1)/P; at index 1, w >= 1 also needs b >= L/P.
+* P < 0: w >= 1 needs b*|P| <= (I - 1)*g - L <= (I - 2)*L, so
+  b <= (I - 2)*L/|P|.  The prune below leaves P >= 2 - I, so this only
+  happens at index 3 and above.
+* P = 0: w = I - L/g does not grow with b, and only d_max bounds b.
+
+Well-formedness is read off the quotients before any system is built.  For
+divisors x, y of d, lcm(x, y) = d exactly when gcd(d/x, d/y) = 1.  Dropping c
+keeps lcm(L, b) = d by construction.  Dropping b keeps the lcm d exactly when
+lcm(L, c) = d, that is gcd(b/g, w) = 1.  Dropping b_j leaves L_j, the lcm of
+the prefix without b_j; when L_j = L the lcm stays d, and when L_j < L it
+must satisfy lcm(L_j, b, c) = d, that is gcd((b/g)*(L/L_j), L/g, w) = 1.
+The cofactors L/L_j > 1 are computed once per prefix.
+
+While the partial sum s is below 1, prefix values are bounded by
+b < m/(1 - s), where m counts the remaining slots: all later values are at
+least b, so the total could not otherwise exceed 1.  Partial sums
+s >= 1 + (I - 1)/L with two or more slots remaining are impossible (each
+remaining term is at least 1/d and d >= L, so the total would exceed
 1 + I/d).  At index 1 that leaves s < 1 at every prefix, and the search is
 finite without a degree bound.  Above index 1 a prefix with s >= 1 bounds the
 next quotient only by d_max, which is then required: (1,1,a,a : 2a) has
@@ -35,7 +54,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 from .core import WeightSystem, precondition_errors
@@ -87,16 +106,41 @@ def _lcm_systems(num_weights: int, index: int, d_max: int | None) -> list[Weight
     """All systems of one index via the ascending quotient recursion (see module docstring)."""
     found: list[WeightSystem] = []
 
+    def last_two(chosen: list[int], big_l: int, sigma: int) -> None:
+        """Pick the second-to-last quotient b in closed form; the last weight follows."""
+        p = big_l - sigma
+        lo = chosen[-1]
+        if p > 0:
+            hi = (2 * big_l - 1) // p
+            if index == 1:
+                lo = max(lo, -(-big_l // p))
+        elif p < 0:
+            hi = (index - 2) * big_l // -p
+        else:
+            hi = d_max
+        if d_max is not None and hi > d_max:
+            hi = d_max
+        # L / L_j > 1 for each distinct lcm L_j < L of the prefix without one b_j
+        cofactors = {big_l // lcm(*chosen[:j], *chosen[j + 1 :]) for j in range(len(chosen))} - {1}
+        for b in range(lo, hi + 1):
+            g = gcd(big_l, b)
+            w = (b * p - big_l) // g + index
+            a_b = big_l // g  # the weight d/b
+            if w < 1 or w > a_b:
+                continue
+            d = a_b * b
+            if d % w or (d_max is not None and d > d_max):
+                continue
+            k = b // g  # d/L, the gcd of the prefix weights
+            if gcd(k, w) == 1 and all(gcd(k * m, a_b, w) == 1 for m in cofactors):
+                found.append(WeightSystem.of([d // q for q in chosen] + [a_b, w], d))
+
     def extend(chosen: list[int], slots: int, big_l: int, sigma: int) -> None:
-        if slots == 1:
-            last_weight = big_l + index - sigma  # d/c with d = L and c = L/(L + I - sigma)
-            if last_weight >= 1 and big_l % last_weight == 0 and big_l // last_weight >= chosen[-1]:
-                ws = WeightSystem.of([big_l // b for b in chosen] + [last_weight], big_l)
-                if ws.well_formed:
-                    found.append(ws)
-            return
         if sigma >= big_l + index - 1:
             return  # s >= 1 + (I - 1)/L leaves under 2/d for two or more slots
+        if slots == 2:
+            last_two(chosen, big_l, sigma)
+            return
         hi = (slots * big_l - 1) // (big_l - sigma) if sigma < big_l else d_max
         if d_max is not None and hi > d_max:
             hi = d_max

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from math import lcm
 
 import pytest
 
@@ -64,25 +65,44 @@ def test_index_above_one_requires_dmax():
         enumerate_systems(EnumerationQuery(num_weights=4, index=2))
 
 
-@pytest.mark.parametrize(
-    "num_weights, index, d_max, count",
-    [
-        (4, 2, 12, 9),
-        (4, 2, 60, 34),
-        (5, 2, 40, 58),
-        (6, 2, 24, 54),
-        (4, 3, 60, 14),
-        (5, 3, 40, 36),
-        (6, 3, 24, 46),
-        (4, 4, 60, 14),
-    ],
-)
+# (num_weights, index, d_max, count) slices checked against the brute-force oracle
+BRUTEFORCE_SLICES = [
+    (4, 2, 12, 9),
+    (4, 2, 60, 34),
+    (5, 2, 40, 58),
+    (6, 2, 24, 54),
+    (4, 3, 60, 14),
+    (5, 3, 40, 36),
+    (6, 3, 24, 46),
+    (4, 4, 60, 14),
+    (5, 4, 40, 48),
+    (6, 4, 24, 57),
+    (5, 5, 40, 24),
+    (6, 5, 24, 41),
+]
+
+
+@pytest.mark.parametrize("num_weights, index, d_max, count", BRUTEFORCE_SLICES)
 def test_index_two_matches_bruteforce(num_weights, index, d_max, count):
     bounded = enumerate_systems(EnumerationQuery(num_weights=num_weights, index=index, d_max=d_max))
     assert len(bounded.systems) == count
     # no linear cones, so every weight of a degree <= d_max system is at most d_max // 2
     oracle = enumerate_bruteforce(num_weights, index, d_max // 2).systems
     assert list(bounded.systems) == [ws for ws in oracle if ws.degree <= d_max]
+
+
+def test_bruteforce_slices_reach_every_window():
+    # the closed form picks the second-to-last quotient in one of three windows, set by
+    # the sign of L - sigma over the quotients before it; the oracle must see all three
+    signs = set()
+    for num_weights, index, d_max, _ in BRUTEFORCE_SLICES:
+        query = EnumerationQuery(num_weights=num_weights, index=index, d_max=d_max)
+        for ws in enumerate_systems(query).systems:
+            prefix = sorted(ws.quotients)[:-2]
+            big_l = lcm(*prefix)
+            sigma = sum(big_l // b for b in prefix)
+            signs.add((sigma > big_l) - (sigma < big_l))
+    assert signs == {-1, 0, 1}
 
 
 @pytest.mark.parametrize(
