@@ -3,9 +3,9 @@
 Every subcommand is a thin wrapper over one library entry point, emitting
 deterministic text or JSON: repeated runs on the same inputs are
 byte-identical.  Exit codes: 0 success, 2 validation failure (malformed
-input, star violation, failed cover plan), 3 unknown classification under
---strict, 4 I/O error.  Rational values are printed exactly, never as
-floats.
+input or arguments, failed precondition), 3 unknown classification under
+--strict, 4 I/O error, 5 condition not met (star violation, failed cover
+plan, lemma violation).  Rational values are printed exactly, never as floats.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNKNOWN = 3
 EXIT_IO = 4
+EXIT_CONDITION = 5
 
 _MEMBER_FLAGS = {"fermat": MEMBER_FERMAT, "general": MEMBER_GENERAL, "any": MEMBER_ANY}
 
@@ -181,7 +182,7 @@ def star_check(support_path: str, index: int | None) -> None:
         f"star violation: monomial {tuple(check.monomial.exponents)} at position "
         f"{check.index} (weight {support.weights[check.index]})"
     )
-    sys.exit(EXIT_VALIDATION)
+    sys.exit(EXIT_CONDITION)
 
 
 @cli.command(name="cover-plan")
@@ -216,7 +217,7 @@ def cover_plan(ws: str, support_path: str | None, universal: bool) -> None:
         f"plan: failure, monomial {tuple(plan.witness.exponents)} at position "
         f"{plan.witness_index} over weights {tuple(plan.witness_weights)}"
     )
-    sys.exit(EXIT_VALIDATION)
+    sys.exit(EXIT_CONDITION)
 
 
 @cli.command(name="verify-lemmas")
@@ -238,7 +239,7 @@ def verify_lemmas(dims: str) -> None:
     gap, triple = minimal_triple_gap(30)
     click.echo(f"minimal non-representable triple gap up to 30: {gap} at {triple}")
     if violations or (gap, triple) != (48, (3, 4, 5)):
-        sys.exit(EXIT_VALIDATION)
+        sys.exit(EXIT_CONDITION)
 
 
 def main() -> None:

@@ -383,13 +383,37 @@ def _least_coefficient(remaining: int, g: int, rest: tuple[int, ...]) -> int | N
     """Smallest m >= 0 with remaining - m*g in <rest>, or None when there is none.
 
     rest is sorted and distinct.  With no generator left, m*g must be all of
-    remaining; otherwise the least closed-form m against a = rest[0] over the
-    capped peel of rest[1:] by a.
+    remaining.  Otherwise m is the least closed-form _least_multiple against
+    a = rest[0] over the targets of the capped peel of rest[1:] by a (as in
+    _peeled), searched depth first.  The search returns once m = 0, and it
+    skips a branch that cannot beat the best m so far because it holds no
+    decomposition at all: J generators between lo and hi sum to a value in
+    [J*lo, J*hi], so a target outside every such interval of the branch's free
+    generators (g and a among them) is no sum of them.
     """
     if not rest:
         return None if remaining % g else remaining // g
-    found = (_least_multiple(t, g, rest[0]) for t in _peeled(remaining, rest[0], rest[1:]))
-    return min((m for m in found if m is not None), default=None)
+    a, large = rest[0], rest[1:]
+    lo = min(g, a)
+    best: int | None = None
+
+    def search(target: int, free: int) -> bool:
+        """Lower best over the peel of large[:free] from target; True once best is 0."""
+        nonlocal best
+        hi = max(g, large[free - 1] if free else a)
+        if -(-target // hi) > target // lo:
+            return False
+        if not free:
+            m = _least_multiple(target, g, a)
+            if m is not None and (best is None or m < best):
+                best = m
+            return best == 0
+        c = large[free - 1]
+        cap = min(target // c, a // gcd(a, c) - 1)
+        return any(search(target - k * c, free - 1) for k in range(cap + 1))
+
+    search(remaining, len(large))
+    return best
 
 
 def semigroup_decomposition(target: int, generators: tuple[int, ...]) -> tuple[int, ...] | None:

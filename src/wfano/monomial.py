@@ -12,13 +12,16 @@ replacing a weighted variable by its cyclic cover z_i -> z_i^{a_i} without
 losing quasi-smoothness, after a generic coordinate change removes the
 offending linear monomial.
 
-Planners are sufficient-condition checkers: a failed plan means the iterated
-cover procedure found no route, never that no smooth cover exists.
+Planners are sufficient-condition checkers.  A failed universal plan means
+that no order of universal cover steps succeeds; a failed support plan means
+that the iterated cover procedure found no route.  Neither means that no
+smooth cover exists.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -190,6 +193,28 @@ class UniversalStarCheck:
     witness: Monomial | None = None
 
 
+def _blocking_subset(d: int, a_i: int, pool: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
+    """First subset S of pool with a_i outside <S> and d - a_i - sum(S) inside it.
+
+    pool is sorted, distinct, and free of divisors of a_i.  Subsets are
+    tried size by size, each size in lexicographic order; returns the first
+    blocking (S, d - a_i - sum(S)), or None.  Once every subset of one size
+    represents a_i, so does every larger one, and the search stops.
+    """
+    for size in range(len(pool) + 1):
+        blocked = False  # some subset of this size has a_i outside its semigroup
+        for combo in combinations(pool, size):
+            if _representable(a_i, combo):
+                continue
+            blocked = True
+            remainder = d - a_i - sum(combo)
+            if remainder >= 0 and _representable(remainder, combo):
+                return combo, remainder
+        if not blocked:
+            break
+    return None
+
+
 def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
     """Would every conceivable member satisfy the star condition at position i?
 
@@ -205,50 +230,31 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
     Adding generators never takes a_i out of the semigroup.  So a subset with
     a value dividing a_i (1 among them) never blocks, and those values are
     dropped, which keeps the order of the remaining subsets (combinations of a
-    sorted sublist, size by size).  Every other subset is tested directly, and
-    once every subset of one size represents a_i, so does every larger one and
-    the search stops.  The first blocking subset, and with it the witness, is
-    the same as in the full scan.
+    sorted sublist, size by size); _blocking_subset tests every other subset
+    directly.  The first blocking subset, and with it the witness, is the same
+    as in the full scan.
     """
     weights = ws.weights
     a_i = _weight_at(weights, i)
     if a_i <= 1:
         raise ValueError(f"universal star check at index {i} needs weight > 1, got {a_i}")
-    d = ws.degree
     lowest_position: dict[int, int] = {}
     for j, a in enumerate(weights):
         if j != i and a not in lowest_position:
             lowest_position[a] = j
     # sorted, distinct and positive: the internal membership test needs no re-check
-    values = sorted(a for a in lowest_position if a_i % a)
-    for size in range(len(values) + 1):
-        blocked = False  # some subset of this size has a_i outside its semigroup
-        for combo in combinations(values, size):
-            if _representable(a_i, combo):
-                continue
-            blocked = True
-            remainder = d - a_i - sum(combo)
-            if remainder < 0 or not _representable(remainder, combo):
-                continue
-            coeffs = semigroup_decomposition(remainder, combo)
-            if coeffs is None:
-                raise AssertionError(f"representable remainder {remainder} has no decomposition")
-            exps = [0] * len(weights)
-            exps[i] = 1
-            for value, m in zip(combo, coeffs):
-                exps[lowest_position[value]] = 1 + m
-            return UniversalStarCheck(False, Monomial(tuple(exps)))
-        if not blocked:
-            break
-    return UniversalStarCheck(True)
-
-
-def _cover_permutation(weights: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Weights after covering position i (a_i -> 1), re-sorted, and perm[new] = old."""
-    raw = list(weights)
-    raw[i] = 1
-    perm = tuple(sorted(range(len(raw)), key=lambda j: (raw[j], j)))
-    return tuple(raw[p] for p in perm), perm
+    found = _blocking_subset(ws.degree, a_i, tuple(sorted(a for a in lowest_position if a_i % a)))
+    if found is None:
+        return UniversalStarCheck(True)
+    combo, remainder = found
+    coeffs = semigroup_decomposition(remainder, combo)
+    if coeffs is None:
+        raise AssertionError(f"representable remainder {remainder} has no decomposition")
+    exps = [0] * len(weights)
+    exps[i] = 1
+    for value, m in zip(combo, coeffs):
+        exps[lowest_position[value]] = 1 + m
+    return UniversalStarCheck(False, Monomial(tuple(exps)))
 
 
 def apply_cover(support: Support, i: int) -> tuple[Support, tuple[int, ...]]:
@@ -260,13 +266,15 @@ def apply_cover(support: Support, i: int) -> tuple[Support, tuple[int, ...]]:
     a_i = _weight_at(support.weights, i)
     if a_i <= 1:
         raise ValueError(f"cover at index {i} needs weight > 1, got {a_i}")
-    new_weights, perm = _cover_permutation(support.weights, i)
+    weights = list(support.weights)
+    weights[i] = 1
+    perm = tuple(sorted(range(len(weights)), key=lambda j: (weights[j], j)))
     rows = []
     for mono in support.monomials:
         raw = list(mono.exponents)
         raw[i] *= a_i
         rows.append(tuple(raw[p] for p in perm))
-    covered = Support.of(new_weights, support.degree, rows)
+    covered = Support.of(tuple(weights[p] for p in perm), support.degree, rows)
     return covered, perm
 
 
@@ -377,33 +385,52 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
 def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
     """Iterated cover construction valid for every quasi-smooth member.
 
-    Covers any position whose universal star check passes, preferring the
-    smallest weight and lowest index; fails with the witness of the first
-    examined blocked position when none passes.  Failure means this procedure
-    found no route, not that no smooth cover exists.
+    Covers the lowest position whose universal star check passes, which is
+    the lowest copy of the smallest passing weight; fails with the witness of
+    the lowest position above weight 1 when none passes.
+
+    The check at position i depends only on d, a_i and its pool: the distinct
+    weights that do not divide a_i.  Copies of a_i and the weight 1 divide
+    it, so every copy of a value has the same pool.  A cover turns a weight
+    into 1, so pools only shrink, and a subset that blocks a_i does so in any
+    pool that holds it.  So a value that passes keeps passing, and while it
+    has copies left no pool changes: its copies are covered one after
+    another.  A value that blocked is checked again only once the subset
+    that blocked it has left its pool; the planner keeps one verdict per
+    value instead of one check per position and step.  It also follows
+    that the plan fails exactly when no order of universal cover steps
+    succeeds; that still does not mean that no smooth cover exists.
     """
-    current = ws
+    d, n = ws.degree, ws.num_weights
+    ones = ws.weights.count(1)
+    copies = Counter(a for a in ws.weights if a > 1)  # ascending, as ws.weights is
+    blocked_by: dict[int, tuple[int, ...]] = {}  # value -> the subset it blocked by
     steps: list[CoverStep] = []
-    while any(a > 1 for a in current.weights):
-        first_blocked: tuple[int, UniversalStarCheck] | None = None
-        for i, a in enumerate(current.weights):
-            if a <= 1:
-                continue
-            result = universal_star_at(current, i)
-            if result.ok:
-                break
-            if first_blocked is None:
-                first_blocked = (i, result)
-        else:  # every position of weight above 1 blocks; the while condition saw one
-            blocked_index, blocked = first_blocked
+    while copies:
+        i = ones  # the lowest position of the value under test
+        for a, k in copies.items():
+            combo = blocked_by.get(a)
+            if combo is None or any(v not in copies for v in combo):
+                found = _blocking_subset(d, a, tuple(v for v in copies if a % v))
+                if found is None:
+                    break
+                blocked_by[a] = found[0]
+            i += k
+        else:  # every value blocks; the first position the scan examines is the lowest
+            current = WeightSystem((1,) * ones + tuple(copies.elements()), d)
+            check = universal_star_at(current, ones)
             return CoverPlan(
                 steps=tuple(steps),
                 ok=False,
-                witness=blocked.witness,
-                witness_index=blocked_index,
+                witness=check.witness,
+                witness_index=ones,
                 witness_weights=current.weights,
             )
-        new_weights, perm = _cover_permutation(current.weights, i)
-        steps.append(CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=perm))
-        current = WeightSystem(new_weights, current.degree)
-    return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
+        del copies[a]
+        for _ in range(k):
+            # the covered weight 1 moves behind the other ones, stable on ties
+            perm = (*range(ones), i, *range(ones, i), *range(i + 1, n))
+            steps.append(CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=perm))
+            i += 1
+            ones += 1
+    return CoverPlan(steps=tuple(steps), ok=True, final_weights=(1,) * n)

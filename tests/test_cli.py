@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from wfano import WeightSystem, fermat_support, save_support
+from wfano import cli as cli_module
 from wfano.cli import cli, parse_weight_system
 
 from conftest import FIXTURES, GOLDEN
@@ -227,7 +228,7 @@ class TestFermatCommand:
 class TestStarCheck:
     def test_violation(self, runner):
         result = runner.invoke(cli, ["star-check", "--support", X60_PATH])
-        assert result.exit_code == 2
+        assert result.exit_code == 5
         assert result.output.splitlines()[0] == (
             "star violation: monomial (17, 1, 1, 0, 0, 0) at position 1 (weight 4)"
         )
@@ -274,7 +275,7 @@ class TestCoverPlan:
 
     def test_universal_failure(self, runner):
         result = runner.invoke(cli, ["cover-plan", "3,4,4,5,15,30:60"])
-        assert result.exit_code == 2
+        assert result.exit_code == 5
         assert result.output.splitlines() == [
             "step 1: cover at position 4",
             "step 2: cover at position 5",
@@ -286,7 +287,7 @@ class TestCoverPlan:
         result = runner.invoke(
             cli, ["cover-plan", "3,4,4,5,15,30:60", "--support", X60_PATH]
         )
-        assert result.exit_code == 2
+        assert result.exit_code == 5
         assert result.output.splitlines() == [
             "plan: failure, monomial (17, 1, 1, 0, 0, 0) at position 1 "
             "over weights (3, 4, 5, 4, 15, 30)",
@@ -323,3 +324,13 @@ class TestVerifyLemmas:
         result = runner.invoke(cli, ["verify-lemmas", "--dims", ""])
         assert result.exit_code == 0
         assert "dims none: 0 systems checked, 0 violations" in result.output
+
+    def test_wrong_gap_is_condition_not_met(self, runner, monkeypatch):
+        monkeypatch.setattr(cli_module, "minimal_triple_gap", lambda bound: (47, (3, 4, 5)))
+        result = runner.invoke(cli, ["verify-lemmas", "--dims", ""])
+        assert result.exit_code == 5
+        assert "gap up to 30: 47 at (3, 4, 5)" in result.output
+
+    def test_bad_dims_is_validation_error(self, runner):
+        result = runner.invoke(cli, ["verify-lemmas", "--dims", "x"])
+        assert result.exit_code == 2

@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wfano
+from wfano import core
 from wfano import (
     StarCase,
     WeightSystem,
@@ -409,6 +410,34 @@ class TestSemigroupDecomposition:
     def test_duplicate_generators(self):
         gens = (3, 3, 4)
         assert semigroup_decomposition(10, gens) == naive_decomposition(10, gens)
+
+    @staticmethod
+    def _count_pair_tests(monkeypatch):
+        calls = []
+        real = core._least_multiple
+
+        def counted(target, g, c):
+            calls.append((target, g, c))
+            return real(target, g, c)
+
+        monkeypatch.setattr(core, "_least_multiple", counted)
+        return calls
+
+    def test_search_skips_branches_without_a_decomposition(self, monkeypatch):
+        # 80000 is no sum of 1001..1005, so the first coefficient is 80, read
+        # from the first leaf; the full peel of 1002..1005 makes 1,837,620 pair
+        # tests for it.  Every other branch has a target outside [J*lo, J*hi]
+        # for every count J of its free generators lo..hi, and each later
+        # coefficient is 0 at its first leaf.
+        calls = self._count_pair_tests(monkeypatch)
+        assert semigroup_decomposition(80000, tuple(range(1000, 1006))) == (80, 0, 0, 0, 0, 0)
+        assert len(calls) == 5
+
+    def test_search_returns_at_zero(self, monkeypatch):
+        # the first leaf (20) gives m = 1, the second (20 - 5) gives m = 0 and ends the search
+        calls = self._count_pair_tests(monkeypatch)
+        assert core._least_coefficient(20, 2, (3, 5, 7)) == 0
+        assert calls == [(20, 2, 3), (15, 2, 3)]
 
 
 class TestTripleGap:

@@ -8,11 +8,12 @@ cancellation in a Counter, so the JSON files cannot drift silently.
 import hashlib
 import random
 from collections import Counter
+from functools import cache
 from itertools import combinations
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfano import (
@@ -32,7 +33,7 @@ from wfano import (
     universal_star_at,
 )
 from wfano import monomial
-from wfano.monomial import UniversalStarCheck
+from wfano.monomial import NOTE_COVER, CoverPlan, CoverStep, UniversalStarCheck
 
 from conftest import FIXTURES
 from test_core import naive_decomposition, naive_representable
@@ -139,6 +140,64 @@ def universal_star_systems(draw):
     )
     weights = sorted(base + extras)
     return WeightSystem(weights, draw(st.integers(weights[-1], 120)))
+
+
+def naive_plan_cover_universal(ws):
+    """The per-position planner: every position above weight 1 checked on every
+    step, and a re-sorted WeightSystem built after each cover."""
+    current = ws
+    steps = []
+    while any(a > 1 for a in current.weights):
+        first_blocked = None
+        for i, a in enumerate(current.weights):
+            if a <= 1:
+                continue
+            result = universal_star_at(current, i)
+            if result.ok:
+                break
+            if first_blocked is None:
+                first_blocked = (i, result)
+        else:
+            blocked_index, blocked = first_blocked
+            return CoverPlan(
+                steps=tuple(steps),
+                ok=False,
+                witness=blocked.witness,
+                witness_index=blocked_index,
+                witness_weights=current.weights,
+            )
+        raw = list(current.weights)
+        raw[i] = 1
+        perm = tuple(sorted(range(len(raw)), key=lambda j: (raw[j], j)))
+        steps.append(CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=perm))
+        current = WeightSystem(tuple(raw[p] for p in perm), current.degree)
+    return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
+
+
+def some_cover_order_succeeds(ws):
+    """Exhaustive search: does any order of universal cover steps reach all weights 1?"""
+
+    @cache
+    def succeeds(weights):
+        if all(a == 1 for a in weights):
+            return True
+        current = WeightSystem(weights, ws.degree)
+        return any(
+            succeeds(tuple(sorted(weights[:i] + (1,) + weights[i + 1:])))
+            for i, a in enumerate(weights)
+            if a > 1 and universal_star_at(current, i).ok
+        )
+
+    return succeeds(ws.weights)
+
+
+@st.composite
+def divisible_systems(draw):
+    # 3 to 7 weights drawn from the divisors of d <= 120: plans that succeed,
+    # and plans that fail before or after some cover steps
+    d = draw(st.integers(2, 120))
+    divisors = [c for c in range(1, d + 1) if d % c == 0]
+    return WeightSystem.of(draw(st.lists(st.sampled_from(divisors), min_size=3, max_size=7)), d)
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +565,48 @@ class TestUniversalPlanner:
         text = "\n".join(repr(plan_cover_universal(ws)) for ws in systems)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == "cd35ffebd5e5f8f9f608831ec7be6e9d3f596e77ae22766ecbfa4809c97abfe6"
+
+    @settings(max_examples=400)
+    @given(divisible_systems())
+    @example(WeightSystem((3, 4, 4, 5, 15, 30), 60))
+    def test_matches_per_position_planner(self, ws):
+        assert plan_cover_universal(ws) == naive_plan_cover_universal(ws)
+
+    @settings(max_examples=300)
+    @given(divisible_systems())
+    @example(WeightSystem((3, 4, 4, 5, 15, 30), 60))
+    def test_fails_only_when_no_cover_order_succeeds(self, ws):
+        assert plan_cover_universal(ws).ok == some_cover_order_succeeds(ws)
+
+    def test_rechecks_only_a_value_whose_blocking_subset_left(self, monkeypatch):
+        # step 1: 2, 3 and 5 block, by (3, 5), (2, 5) and (3, 10), and 10
+        # passes; step 2: 10 is gone, so 5 is checked again and passes, while
+        # 2 and 3 keep their blocking subsets; steps 3 and 4: 5 is gone, so 2
+        # and 3 are checked again.  No witness is built.
+        checks = []
+        real = monomial._blocking_subset
+
+        def counted(d, a_i, pool):
+            found = real(d, a_i, pool)
+            checks.append((a_i, pool, found and found[0]))
+            return found
+
+        monkeypatch.setattr(monomial, "_blocking_subset", counted)
+        monkeypatch.setattr(monomial, "universal_star_at", None)
+        ws = WeightSystem((1, 2, 3, 5, 10), 30)
+        plan = plan_cover_universal(ws)
+        assert plan.ok and [step.index for step in plan.steps] == [4, 4, 3, 4]
+        assert checks == [
+            (2, (3, 5, 10), (3, 5)),
+            (3, (2, 5, 10), (2, 5)),
+            (5, (2, 3, 10), (3, 10)),
+            (10, (3,), None),
+            (5, (2, 3), None),
+            (2, (3,), None),
+            (3, (), None),
+        ]
+        monkeypatch.undo()
+        assert plan == naive_plan_cover_universal(ws)
 
     def test_failure_witness_degree(self):
         ws = WeightSystem((1,) * 49 + (3, 4, 5), 60)
