@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wfano import (
@@ -33,7 +33,7 @@ from wfano import (
     universal_star_at,
 )
 from wfano import monomial
-from wfano.monomial import NOTE_COVER, CoverPlan, CoverStep, UniversalStarCheck
+from wfano.monomial import NOTE_COVER, NOTE_SUBSTITUTE, CoverPlan, CoverStep, UniversalStarCheck
 
 from conftest import FIXTURES
 from test_core import naive_decomposition, naive_representable
@@ -198,6 +198,85 @@ def divisible_systems(draw):
     d = draw(st.integers(2, 120))
     divisors = [c for c in range(1, d + 1) if d % c == 0]
     return WeightSystem.of(draw(st.lists(st.sampled_from(divisors), min_size=3, max_size=7)), d)
+
+
+def naive_star_violation(support):
+    """First (monomial, index) that violates the star condition, in canonical
+    order, by the coin-problem table; None when there is none."""
+    for mono in support.monomials:
+        for i, k in enumerate(mono.exponents):
+            a_i = support.weights[i]
+            if k == 1 and a_i > 1:
+                gens = [support.weights[j] for j, kj in enumerate(mono.exponents) if j != i and kj > 0]
+                if not naive_representable(a_i, gens):
+                    return mono, i
+    return None
+
+
+def naive_plan_cover_for_support(support):
+    """The Support-based planner: a validated Support rebuilt after every
+    substitution and cover, and the star condition re-checked on it with the
+    naive semigroup oracles."""
+    current = support
+    violation = naive_star_violation(current)
+    steps = []
+    while violation is None and any(a > 1 for a in current.weights):
+        weights = current.weights
+        i = min((j for j, a in enumerate(weights) if a > 1), key=lambda j: (weights[j], j))
+        linear = [mono for mono in current.monomials if mono.exponents[i] == 1]
+        if linear:
+            positions = [j for j, k in enumerate(linear[0].exponents) if j != i and k > 0]
+            coeffs = naive_decomposition(weights[i], [weights[j] for j in positions])
+            exps = [0] * len(weights)
+            for j, m in zip(positions, coeffs):
+                exps[j] += m
+            steps.append(
+                CoverStep(kind="substitute", index=i, note=NOTE_SUBSTITUTE, monomial=Monomial(tuple(exps)))
+            )
+            rows = [mono.exponents for mono in current.monomials]
+            for mono in current.monomials:
+                t = mono.exponents[i]
+                for r in range(1, t + 1):
+                    row = list(mono.exponents)
+                    row[i] = t - r
+                    rows.append(tuple(k + r * m for k, m in zip(row, exps)))
+            current = Support.of(weights, current.degree, rows)
+            violation = naive_star_violation(current)
+            if violation is not None:
+                break
+        raw = list(weights)
+        raw[i] = 1
+        perm = tuple(sorted(range(len(raw)), key=lambda j: (raw[j], j)))
+        rows = []
+        for mono in current.monomials:
+            row = list(mono.exponents)
+            row[i] *= weights[i]
+            rows.append(tuple(row[p] for p in perm))
+        current = Support.of(tuple(raw[p] for p in perm), current.degree, rows)
+        steps.append(CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=perm))
+        violation = naive_star_violation(current)
+    if violation is not None:
+        return CoverPlan(
+            steps=tuple(steps),
+            ok=False,
+            witness=violation[0],
+            witness_index=violation[1],
+            witness_weights=current.weights,
+        )
+    return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
+
+
+@st.composite
+def shuffled_supports(draw):
+    # 1 to 4 variables of weight 1..6 in any source order, so the first step
+    # sees unsorted weights, and a random subset of the monomials of one
+    # degree: plans that succeed with or without substitutions, and plans
+    # that fail before or after some steps
+    weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    degree = draw(st.integers(1, 18))
+    rows = all_monomials(weights, degree)
+    assume(rows)
+    return Support.of(weights, degree, draw(st.lists(st.sampled_from(rows), min_size=1, max_size=10)))
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +608,58 @@ class TestSupportPlanner:
                 assert plan.ok, ws
                 assert plan.cover_count == sum(1 for a in ws.weights if a > 1)
                 assert plan.final_weights == (1,) * ws.num_weights
+
+    def test_fermat_plans_pinned(self, surface_catalog, threefold_catalog, fourfold_catalog):
+        # every step, covered position and permutation of the Fermat support
+        # plans of the 4 surfaces, 30 threefolds and 661 fourfolds
+        systems = [ws for result in (surface_catalog, threefold_catalog, fourfold_catalog) for ws in result.systems]
+        assert len(systems) == 695
+        text = "\n".join(repr(plan_cover_for_support(fermat_support(ws))) for ws in systems)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "5df52d6fb0a449d6acbac0942233ff03d810b75e1aef31eb24303f002925ac11"
+
+    def test_fixture_plans_match_support_based_planner(self, x60, x60_dim50):
+        for support in (x60, x60_dim50):
+            assert plan_cover_for_support(support) == naive_plan_cover_for_support(support)
+        assert plan_cover_for_support(x60) == CoverPlan(
+            steps=(),
+            ok=False,
+            witness=Monomial((17, 1, 1, 0, 0, 0)),
+            witness_index=1,
+            witness_weights=(3, 4, 5, 4, 15, 30),
+        )
+        assert plan_cover_for_support(x60_dim50) == CoverPlan(
+            steps=(),
+            ok=False,
+            witness=Monomial((0,) * 49 + (2, 1, 10)),
+            witness_index=50,
+            witness_weights=(1,) * 49 + (3, 4, 5),
+        )
+
+    def test_one_variable_cover(self):
+        plan = plan_cover_for_support(Support.of((3,), 6, [(2,)]))
+        assert plan == CoverPlan(
+            steps=(CoverStep(kind="cover", index=0, note=NOTE_COVER, permutation=(0,)),),
+            ok=True,
+            final_weights=(1,),
+        )
+        covered, perm = apply_cover(Support.of((3,), 6, [(2,)]), 0)
+        assert covered == Support.of((1,), 6, [(6,)])
+        assert perm == (0,)
+
+    @settings(max_examples=400)
+    @given(shuffled_supports())
+    @example(Support.of((3,), 6, [(2,)]))
+    @example(Support.of((5,), 5, [(1,)]))
+    @example(Support.of((1,), 4, [(4,)]))
+    @example(Support.of((2, 1), 4, [(0, 4), (1, 2), (2, 0)]))
+    def test_matches_support_based_planner(self, support):
+        plan = plan_cover_for_support(support)
+        assert plan == naive_plan_cover_for_support(support)
+        # the planner covers a smallest weight above 1 and substitutes with
+        # weights no larger, so no step creates a violation: a plan fails
+        # before its first step or not at all
+        assert plan.ok or not plan.steps
 
 
 class TestUniversalPlanner:
