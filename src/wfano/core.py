@@ -319,26 +319,33 @@ def _least_multiple(target: int, g: int, c: int) -> int | None:
     return m if m * g <= target else None
 
 
-def _peeled(target: int, a: int, large: tuple[int, ...]) -> Iterator[int]:
+def _peeled(target: int, a: int, b: int, large: tuple[int, ...]) -> Iterator[int]:
     """target minus every sum of multiples of large that stays >= 0, each c
-    in large taken fewer than a / gcd(a, c) times.
+    in large taken fewer than a / gcd(a, c) times, for sorted a < b < large.
 
     The cap loses no combination that may also use a: with h = gcd(a, c),
-    a/h copies of c make the same sum as c/h copies of a.
+    a/h copies of c make the same sum as c/h copies of a.  A branch whose
+    target is no sum of its free generators (a, b and large) is skipped: J
+    of them sum to a value in [J*a, J*hi], hi the largest, so a target
+    outside every such interval lies outside <a, b, large>.
     """
+    hi = large[-1] if large else b
+    if -(-target // hi) > target // a:
+        return
     if not large:
         yield target
         return
     c = large[-1]
     for m in range(min(target // c, a // gcd(a, c) - 1) + 1):
-        yield from _peeled(target - m * c, a, large[:-1])
+        yield from _peeled(target - m * c, a, b, large[:-1])
 
 
 def _representable(target: int, gens: tuple[int, ...]) -> bool:
     """Membership of target >= 0 in <gens>, for sorted distinct positive gens.
 
     Exact shortcuts first; below Schur's bound, peel the capped multiples of
-    the generators above the two smallest a < b and ask the closed form of
+    the generators above the two smallest a < b, skipping targets that no
+    count of the free generators reaches, and ask the closed form of
     _least_multiple whether a remainder lies in <a, b>.
     """
     if target == 0:
@@ -357,7 +364,8 @@ def _representable(target: int, gens: tuple[int, ...]) -> bool:
     # Schur: every integer above (a_1 - 1)(a_k - 1) - 1 lies in <gens>
     if target > (a - 1) * (gens[-1] - 1) - 1:
         return True
-    return any(_least_multiple(t, gens[1], a) is not None for t in _peeled(target, a, gens[2:]))
+    b = gens[1]
+    return any(_least_multiple(t, b, a) is not None for t in _peeled(target, a, b, gens[2:]))
 
 
 def _checked_inputs(target: int, generators: Iterable[int]) -> tuple[int, ...]:

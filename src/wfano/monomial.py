@@ -24,10 +24,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from .core import WeightSystem, _representable, semigroup_decomposition, semigroup_representable
+from .core import WeightSystem, _representable, semigroup_decomposition
 
 NOTE_COVER = "cyclic cover z_i -> z_i**a_i; ambient weight a_i becomes 1"
 NOTE_SUBSTITUTE = "generic coordinate change z_i -> z_i + lambda*M removing a linear monomial"
@@ -154,24 +155,41 @@ def _weight_at(weights: tuple[int, ...], i: int) -> int:
     return weights[i]
 
 
-def _violates_at(support: Support, mono: Monomial, i: int) -> bool:
-    """a_i outside the semigroup of the weights of mono's other variables."""
-    gens = {support.weights[j] for j, kj in enumerate(mono.exponents) if j != i and kj > 0}
-    return not semigroup_representable(support.weights[i], gens)
+# Exponent rows: the planner and the public primitives below work on plain
+# exponent tuples against validated weights, kept in Support's canonical order
+# (descending lexicographic, duplicates collapsed).
+Row = tuple[int, ...]
 
 
-def _star_violation_indices(support: Support, mono: Monomial) -> Iterable[int]:
-    for i, k in enumerate(mono.exponents):
-        if k == 1 and support.weights[i] > 1 and _violates_at(support, mono, i):
-            yield i
+def _violates(weights: tuple[int, ...], row: Row, i: int) -> bool:
+    """a_i outside the semigroup of the weights of row's other variables."""
+    gens = {weights[j] for j, k in enumerate(row) if k and j != i}
+    # sorted, distinct and positive: the internal membership test needs no re-check
+    return not _representable(weights[i], tuple(sorted(gens)))
+
+
+def _first_violation(weights: tuple[int, ...], rows: list[Row]) -> tuple[Row, int] | None:
+    """First (row, i) in row order, then index order, with k_i = 1 < a_i and
+    a_i outside the semigroup of the weights of row's other variables."""
+    for row in rows:
+        if 1 in row:
+            for i, k in enumerate(row):
+                if k == 1 and weights[i] > 1 and _violates(weights, row, i):
+                    return row, i
+    return None
+
+
+def _rows(support: Support) -> list[Row]:
+    return [mono.exponents for mono in support.monomials]
 
 
 def star_condition(support: Support) -> StarCheck:
     """Check every monomial; first violation in canonical order (monomial, then index)."""
-    for mono in support.monomials:
-        for i in _star_violation_indices(support, mono):
-            return StarCheck(False, mono, i)
-    return StarCheck(True)
+    found = _first_violation(support.weights, _rows(support))
+    if found is None:
+        return StarCheck(True)
+    row, i = found
+    return StarCheck(False, Monomial(row), i)
 
 
 def star_condition_at(support: Support, i: int) -> StarCheck:
@@ -180,7 +198,7 @@ def star_condition_at(support: Support, i: int) -> StarCheck:
     if a_i <= 1:
         raise ValueError(f"star condition at index {i} needs weight > 1, got {a_i}")
     for mono in support.monomials:
-        if mono.exponents[i] == 1 and _violates_at(support, mono, i):
+        if mono.exponents[i] == 1 and _violates(support.weights, mono.exponents, i):
             return StarCheck(False, mono, i)
     return StarCheck(True, index=i)
 
@@ -200,8 +218,19 @@ def _blocking_subset(d: int, a_i: int, pool: tuple[int, ...]) -> tuple[tuple[int
     tried size by size, each size in lexicographic order; returns the first
     blocking (S, d - a_i - sum(S)), or None.  Once every subset of one size
     represents a_i, so does every larger one, and the search stops.
+
+    Sizes 0 and 1 are closed forms: a_i > 1 is outside <()>, and outside <s>
+    for each s in pool as s does not divide a_i; so the empty set blocks iff
+    d = a_i, and {s} blocks iff r = d - a_i - s >= 0 is a multiple of s.
+    Neither size can stop the search, unless pool is empty.
     """
-    for size in range(len(pool) + 1):
+    if d == a_i:
+        return (), 0
+    for s in pool:
+        remainder = d - a_i - s
+        if remainder >= 0 and remainder % s == 0:
+            return (s,), remainder
+    for size in range(2, len(pool) + 1):
         blocked = False  # some subset of this size has a_i outside its semigroup
         for combo in combinations(pool, size):
             if _representable(a_i, combo):
@@ -257,6 +286,35 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
     return UniversalStarCheck(False, Monomial(tuple(exps)))
 
 
+def _cover_rows(
+    weights: tuple[int, ...], rows: list[Row], i: int
+) -> tuple[tuple[int, ...], list[Row], tuple[int, ...]]:
+    """The cover of z_i on rows: (new weights, new rows, perm), perm[new] = old.
+
+    A cover maps distinct rows to distinct rows, so the new rows need a
+    re-sort but no dedupe.
+    """
+    a_i = weights[i]
+    raw = (*weights[:i], 1, *weights[i + 1:])
+    perm = tuple(sorted(range(len(raw)), key=lambda j: (raw[j], j)))
+    if len(perm) == 1:  # itemgetter of one index returns the item, not a 1-tuple
+        return raw, [(row[0] * a_i,) for row in rows], perm
+    pick = itemgetter(*perm)
+    covered = sorted((pick(row[:i] + (row[i] * a_i,) + row[i + 1:]) for row in rows), reverse=True)
+    return pick(raw), covered, perm
+
+
+def _substitute_rows(rows: list[Row], i: int, replacement: Row) -> list[Row]:
+    """rows together with z_i^(t-r) * M^r for every row with k_i = t and r = 1..t."""
+    expanded = set(rows)
+    for row in rows:
+        t = row[i]
+        for r in range(1, t + 1):
+            shifted = row[:i] + (t - r,) + row[i + 1:]
+            expanded.add(tuple(k + r * m for k, m in zip(shifted, replacement)))
+    return sorted(expanded, reverse=True)
+
+
 def apply_cover(support: Support, i: int) -> tuple[Support, tuple[int, ...]]:
     """Replace z_i by its cyclic cover: weight a_i -> 1, exponent k_i -> k_i * a_i.
 
@@ -266,16 +324,8 @@ def apply_cover(support: Support, i: int) -> tuple[Support, tuple[int, ...]]:
     a_i = _weight_at(support.weights, i)
     if a_i <= 1:
         raise ValueError(f"cover at index {i} needs weight > 1, got {a_i}")
-    weights = list(support.weights)
-    weights[i] = 1
-    perm = tuple(sorted(range(len(weights)), key=lambda j: (weights[j], j)))
-    rows = []
-    for mono in support.monomials:
-        raw = list(mono.exponents)
-        raw[i] *= a_i
-        rows.append(tuple(raw[p] for p in perm))
-    covered = Support.of(tuple(weights[p] for p in perm), support.degree, rows)
-    return covered, perm
+    weights, rows, perm = _cover_rows(support.weights, _rows(support), i)
+    return Support.of(weights, support.degree, rows), perm
 
 
 def substitute(support: Support, i: int, replacement: Monomial) -> Support:
@@ -295,15 +345,7 @@ def substitute(support: Support, i: int, replacement: Monomial) -> Support:
             f"replacement monomial has degree {replacement.degree(support.weights)}, "
             f"expected the weight {a_i} of variable {i}"
         )
-    rows = [mono.exponents for mono in support.monomials]
-    for mono in support.monomials:
-        t = mono.exponents[i]
-        for r in range(1, t + 1):
-            exps = list(mono.exponents)
-            exps[i] = t - r
-            for j, m in enumerate(replacement.exponents):
-                exps[j] += r * m
-            rows.append(tuple(exps))
+    rows = _substitute_rows(_rows(support), i, replacement.exponents)
     return Support.of(support.weights, support.degree, rows)
 
 
@@ -334,52 +376,62 @@ class CoverPlan:
         return sum(1 for step in self.steps if step.kind == "cover")
 
 
+def _check_degrees(weights: tuple[int, ...], degree: int, rows: list[Row]) -> None:
+    for row in rows:
+        if sum(k * a for k, a in zip(row, weights)) != degree:
+            raise AssertionError(f"row {row} left weighted degree {degree} under weights {weights}")
+
+
 def plan_cover_for_support(support: Support) -> CoverPlan:
     """Iterated cover construction for one explicit member.
 
     Repeatedly covers the smallest weight above 1 (lowest position on ties),
     preceded by a substitution when a monomial is linear in that variable; the
     star condition is re-verified after every transform, never assumed.
+
+    The support's weights and exponent rows are read once; each step is a
+    row operation shared with apply_cover and substitute, followed by a check
+    that every row keeps the weighted degree and by the star check that
+    star_condition runs.  A Monomial is built only for a substitution's
+    replacement and for the failure witness.
     """
-    current = support
-    check = star_condition(current)
+    weights, degree, rows = support.weights, support.degree, _rows(support)
+    violation = _first_violation(weights, rows)
     steps: list[CoverStep] = []
-    while check.ok and any(a > 1 for a in current.weights):
-        i = min(
-            (j for j, a in enumerate(current.weights) if a > 1),
-            key=lambda j: (current.weights[j], j),
-        )
-        linear = [mono for mono in current.monomials if mono.exponents[i] == 1]
-        if linear:
-            mono = linear[0]  # first in canonical descending order
-            positions = [j for j, k in enumerate(mono.exponents) if j != i and k > 0]
-            gens = tuple(current.weights[j] for j in positions)
-            coeffs = semigroup_decomposition(current.weights[i], gens)
+    while violation is None and any(a > 1 for a in weights):
+        i = min((j for j, a in enumerate(weights) if a > 1), key=lambda j: (weights[j], j))
+        linear = next((row for row in rows if row[i] == 1), None)  # first in canonical order
+        if linear is not None:
+            positions = [j for j, k in enumerate(linear) if j != i and k > 0]
+            coeffs = semigroup_decomposition(weights[i], tuple(weights[j] for j in positions))
             if coeffs is None:  # the star condition was just verified
                 raise AssertionError("star condition holds but the linear monomial does not decompose")
-            exps = [0] * len(current.weights)
+            exps = [0] * len(weights)
             for j, m in zip(positions, coeffs):
                 exps[j] += m
-            replacement = Monomial(tuple(exps))
+            replacement = tuple(exps)
             steps.append(
-                CoverStep(kind="substitute", index=i, note=NOTE_SUBSTITUTE, monomial=replacement)
+                CoverStep(kind="substitute", index=i, note=NOTE_SUBSTITUTE, monomial=Monomial(replacement))
             )
-            current = substitute(current, i, replacement)
-            check = star_condition(current)
-            if not check.ok:
+            rows = _substitute_rows(rows, i, replacement)
+            _check_degrees(weights, degree, rows)
+            violation = _first_violation(weights, rows)
+            if violation is not None:
                 break
-        current, perm = apply_cover(current, i)
+        weights, rows, perm = _cover_rows(weights, rows, i)
+        _check_degrees(weights, degree, rows)
         steps.append(CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=perm))
-        check = star_condition(current)
-    if not check.ok:
+        violation = _first_violation(weights, rows)
+    if violation is not None:
+        row, index = violation
         return CoverPlan(
             steps=tuple(steps),
             ok=False,
-            witness=check.monomial,
-            witness_index=check.index,
-            witness_weights=current.weights,
+            witness=Monomial(row),
+            witness_index=index,
+            witness_weights=weights,
         )
-    return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
+    return CoverPlan(steps=tuple(steps), ok=True, final_weights=weights)
 
 
 def plan_cover_universal(ws: WeightSystem) -> CoverPlan:

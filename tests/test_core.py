@@ -266,6 +266,26 @@ def test_membership_near_ten_million_within_memory_cap():
     assert elapsed < 20, f"took {elapsed:.1f} s"
 
 
+def test_membership_skips_targets_no_count_of_generators_reaches(monkeypatch):
+    # J generators among 1000..1005 sum to a value in [1000*J, 1005*J]: 80999
+    # lies between the intervals of J = 80 and J = 81, so the peel rejects it
+    # at the root, where the full peel of 1002..1005 makes 1,929,501 pair
+    # tests.  80200 lies in the interval of J = 80; every leaf before
+    # 80200 - 40*1003 - 40*1002 = 0 is skipped, so 0 is the one pair test.
+    calls = []
+    real = core._least_multiple
+
+    def counted(target, g, c):
+        calls.append((target, g, c))
+        return real(target, g, c)
+
+    monkeypatch.setattr(core, "_least_multiple", counted)
+    assert not semigroup_representable(80999, range(1000, 1006))
+    assert calls == []
+    assert semigroup_representable(80200, range(1000, 1006))
+    assert calls == [(0, 1001, 1000)]
+
+
 # one strategy per branch of semigroup_representable; targets stay small
 # enough for the table of naive_representable
 one_generator = st.tuples(st.integers(0, 300), st.tuples(st.integers(1, 40)))

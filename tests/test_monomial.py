@@ -433,6 +433,8 @@ class TestUniversalStar:
 
     @settings(max_examples=400)
     @given(universal_star_systems())
+    @example(WeightSystem((2, 3, 4), 7))  # blocked at 3 by {2}
+    @example(WeightSystem((2, 3), 3))  # blocked at 3 by the empty set
     def test_matches_naive_subset_scan(self, ws):
         for i, a in enumerate(ws.weights):
             if a > 1:
@@ -441,7 +443,8 @@ class TestUniversalStar:
     def test_search_stops_after_first_size_without_blocking_subset(self, monkeypatch):
         # 1000003 lies outside the semigroup of the empty set and of each prime
         # alone, and inside that of every pair; without the per-size stop all
-        # 2**20 subsets would be tested
+        # 2**20 subsets would be tested.  Sizes 0 and 1 are decided by
+        # arithmetic, so only the pairs reach the membership test.
         primes = [p for p in range(2, 72) if all(p % q for q in range(2, p))]
         ws = WeightSystem(primes + [1000003], 1000003 * prod(primes))
         calls = []
@@ -453,9 +456,16 @@ class TestUniversalStar:
 
         monkeypatch.setattr(monomial, "_representable", counted)
         assert universal_star_at(ws, len(primes)).ok
-        # 1 + 20 + 190 subsets tested against a_i, 21 remainders tested
-        assert sum(1 for target, _ in calls if target == 1000003) == 1 + 20 + 190
-        assert len(calls) == 232
+        # the 190 pairs tested against a_i; no pair blocks, so no remainder is tested
+        assert sum(1 for target, _ in calls if target == 1000003) == 190
+        assert len(calls) == 190
+
+    def test_sizes_zero_and_one_block_in_closed_form(self):
+        assert universal_star_at(WeightSystem((2, 3, 4), 7), 1).witness == Monomial((2, 1, 0))
+        assert universal_star_at(WeightSystem((2, 3), 3), 1).witness == Monomial((0, 1))
+        assert monomial._blocking_subset(7, 3, (2, 4)) == ((2,), 2)
+        assert monomial._blocking_subset(3, 3, (2,)) == ((), 0)
+        assert monomial._blocking_subset(8, 3, ()) is None
 
     def test_witness_is_realizable(self):
         # a universal failure must be exhibited by some concrete support
