@@ -175,12 +175,13 @@ def star_case(ws: WeightSystem) -> StarCase:
     return StarCase(False)
 
 
+def _threshold(degree: int, star: StarCase) -> Fraction:
+    return Fraction(degree - 2 if star.holds else degree - 1, degree)
+
+
 def threshold_c(ws: WeightSystem) -> Fraction:
     """Threshold constant c: (d-2)/d in the star case, (d-1)/d otherwise."""
-    d = ws.degree
-    if star_case(ws).holds:
-        return Fraction(d - 2, d)
-    return Fraction(d - 1, d)
+    return _threshold(ws.degree, star_case(ws))
 
 
 SHAPE_ALL_ONES = "all_ones"
@@ -267,41 +268,45 @@ def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
 
     Preconditions (reported, not skipped): those of precondition_errors
     with index 1 required.
+
+    Each side depends on one weight value, or on none: the general left side
+    on a_i, every right side -a_j on a_j, and the unit-weight pair and the
+    star pair's left side on d and c alone.  So each side is one Fraction per
+    distinct value (or per system), shared by the checks that use it.
     """
     errors = precondition_errors(ws, index_one=True)
     if errors:
         return InequalityReport(ws, errors, ())
 
-    d = ws.degree
+    d, weights = ws.degree, ws.weights
     star = star_case(ws)
-    c = threshold_c(ws)
+    c = _threshold(d, star)
+    values = set(weights)
+    minus = {a: Fraction(-a) for a in values}  # rhs -a_j
+    general = {a: Fraction(-d - 1 + a + d // a) for a in values if a > 1}
+    unit_lhs, unit_rhs = Fraction(-d) + c * d, Fraction(-1)
+    star_lhs = Fraction(1 - d) + c * Fraction(d, 2) if star.holds else None
     checks: list[InequalityCheck] = []
-    for i, ai in enumerate(ws.weights):
-        for j, aj in enumerate(ws.weights):
+    for i, ai in enumerate(weights):
+        for j, aj in enumerate(weights):
             if i == j:
                 continue
             if ai == 1:
-                lhs = Fraction(-d - 1 + ai) + c * d
-                rhs = Fraction(-1)
-                rule = RULE_UNIT_WEIGHT
+                checks.append(InequalityCheck(RULE_UNIT_WEIGHT, i, j, unit_lhs, unit_rhs))
             elif star.holds and ai == 2 and aj == star.a:
-                lhs = Fraction(-d - 1 + ai) + c * Fraction(d, ai)
-                rhs = Fraction(-aj)
-                rule = RULE_STAR_PAIR
+                checks.append(InequalityCheck(RULE_STAR_PAIR, i, j, star_lhs, minus[aj]))
             else:
-                lhs = Fraction(-d - 1 + ai + d // ai)
-                rhs = Fraction(-aj)
-                rule = RULE_GENERAL_PAIR
-            checks.append(InequalityCheck(rule, i, j, lhs, rhs))
+                checks.append(InequalityCheck(RULE_GENERAL_PAIR, i, j, general[ai], minus[aj]))
 
     n = ws.n
+    floor = Fraction(n - 1, n)
     return InequalityReport(
         system=ws,
         precondition_errors=(),
         checks=tuple(checks),
         c_value=c,
-        c_lower_bound=Fraction(n - 1, n),
-        c_equality_shape_ok=boundary_shape(ws) is not None if c == Fraction(n - 1, n) else None,
+        c_lower_bound=floor,
+        c_equality_shape_ok=boundary_shape(ws) is not None if c == floor else None,
     )
 
 

@@ -24,7 +24,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import Iterable
 
@@ -55,7 +55,7 @@ class Monomial:
             raise ValueError(
                 f"monomial has {len(self.exponents)} exponents, ambient has {len(weights)} weights"
             )
-        return sum(k * a for k, a in zip(self.exponents, weights))
+        return sum(map(mul, self.exponents, weights))
 
     def __repr__(self) -> str:
         return f"Monomial{self.exponents!r}"
@@ -80,7 +80,10 @@ class Support:
         by_exponents = {m.exponents: m for m in self.monomials}
         unique = tuple(by_exponents[e] for e in sorted(by_exponents, reverse=True))
         for mono in unique:
-            degree = mono.degree(self.weights)
+            try:
+                degree = mono.degree(self.weights)
+            except ValueError as exc:  # a row whose length differs from the weights
+                raise SupportError(str(exc)) from exc
             if degree != self.degree:
                 raise SupportError(
                     f"monomial {mono.exponents} has weighted degree {degree}, "
@@ -90,11 +93,11 @@ class Support:
 
     @classmethod
     def of(cls, weights: Iterable[int], degree: int, exponent_rows: Iterable[Iterable[int]]) -> "Support":
-        return cls(
-            tuple(weights),
-            degree,
-            tuple(Monomial(tuple(row)) for row in exponent_rows),
-        )
+        try:
+            monomials = tuple(Monomial(tuple(row)) for row in exponent_rows)
+        except ValueError as exc:  # a negative or non-integer exponent
+            raise SupportError(str(exc)) from exc
+        return cls(tuple(weights), degree, monomials)
 
     @property
     def system(self) -> WeightSystem:
@@ -296,7 +299,7 @@ def _cover_rows(
     """
     a_i = weights[i]
     raw = (*weights[:i], 1, *weights[i + 1:])
-    perm = tuple(sorted(range(len(raw)), key=lambda j: (raw[j], j)))
+    perm = tuple(sorted(range(len(raw)), key=raw.__getitem__))  # stable: ties keep position order
     if len(perm) == 1:  # itemgetter of one index returns the item, not a 1-tuple
         return raw, [(row[0] * a_i,) for row in rows], perm
     pick = itemgetter(*perm)
@@ -378,7 +381,7 @@ class CoverPlan:
 
 def _check_degrees(weights: tuple[int, ...], degree: int, rows: list[Row]) -> None:
     for row in rows:
-        if sum(k * a for k, a in zip(row, weights)) != degree:
+        if sum(map(mul, row, weights)) != degree:
             raise AssertionError(f"row {row} left weighted degree {degree} under weights {weights}")
 
 
@@ -398,8 +401,8 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
     weights, degree, rows = support.weights, support.degree, _rows(support)
     violation = _first_violation(weights, rows)
     steps: list[CoverStep] = []
-    while violation is None and any(a > 1 for a in weights):
-        i = min((j for j, a in enumerate(weights) if a > 1), key=lambda j: (weights[j], j))
+    while violation is None and max(weights) > 1:
+        i = weights.index(min(a for a in weights if a > 1))
         linear = next((row for row in rows if row[i] == 1), None)  # first in canonical order
         if linear is not None:
             positions = [j for j, k in enumerate(linear) if j != i and k > 0]

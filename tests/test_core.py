@@ -6,6 +6,7 @@ the closed forms and the capped peeling are never trusted on their own word.
 """
 
 import ast
+import hashlib
 import itertools
 import os
 import random
@@ -17,7 +18,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wfano
@@ -34,7 +35,17 @@ from wfano import (
     triple_gap,
     validate,
 )
-from wfano.core import SHAPE_ALL_ONES, SHAPE_STAR, boundary_shape, precondition_errors
+from wfano.core import (
+    RULE_GENERAL_PAIR,
+    RULE_STAR_PAIR,
+    RULE_UNIT_WEIGHT,
+    SHAPE_ALL_ONES,
+    SHAPE_STAR,
+    InequalityCheck,
+    InequalityReport,
+    boundary_shape,
+    precondition_errors,
+)
 
 
 def naive_representable(target: int, generators) -> bool:
@@ -152,6 +163,45 @@ class TestThreshold:
         assert threshold_c(WeightSystem((3, 3, 5, 5), 15)) == Fraction(14, 15)
 
 
+def naive_check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
+    """The per-pair evaluation: three Fractions built afresh for every ordered pair."""
+    errors = precondition_errors(ws, index_one=True)
+    if errors:
+        return InequalityReport(ws, errors, ())
+
+    d = ws.degree
+    star = star_case(ws)
+    c = threshold_c(ws)
+    checks = []
+    for i, ai in enumerate(ws.weights):
+        for j, aj in enumerate(ws.weights):
+            if i == j:
+                continue
+            if ai == 1:
+                lhs = Fraction(-d - 1 + ai) + c * d
+                rhs = Fraction(-1)
+                rule = RULE_UNIT_WEIGHT
+            elif star.holds and ai == 2 and aj == star.a:
+                lhs = Fraction(-d - 1 + ai) + c * Fraction(d, ai)
+                rhs = Fraction(-aj)
+                rule = RULE_STAR_PAIR
+            else:
+                lhs = Fraction(-d - 1 + ai + d // ai)
+                rhs = Fraction(-aj)
+                rule = RULE_GENERAL_PAIR
+            checks.append(InequalityCheck(rule, i, j, lhs, rhs))
+
+    n = ws.n
+    return InequalityReport(
+        system=ws,
+        precondition_errors=(),
+        checks=tuple(checks),
+        c_value=c,
+        c_lower_bound=Fraction(n - 1, n),
+        c_equality_shape_ok=boundary_shape(ws) is not None if c == Fraction(n - 1, n) else None,
+    )
+
+
 class TestLemmaInequality:
     def test_passes_on_smooth_cubic(self):
         report = check_lemma_ineq(WeightSystem((1, 1, 1, 1), 3))
@@ -195,6 +245,15 @@ class TestLemmaInequality:
         assert any("well" in e for e in report.precondition_errors)
         assert any("index" in e for e in report.precondition_errors)
         assert report.checks == ()
+
+    def test_catalog_reports_pinned(self, surface_catalog, threefold_catalog, fourfold_catalog):
+        # every rule, side and threshold of the 4 surfaces, 30 threefolds and
+        # 661 fourfolds, in catalog order
+        systems = [ws for result in (surface_catalog, threefold_catalog, fourfold_catalog) for ws in result.systems]
+        assert len(systems) == 695
+        text = "\n".join(repr(check_lemma_ineq(ws)) for ws in systems)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "d5f00add8766d068b385a2de3664b0dd7978843e0a81e1197991ee7cdc6ebf00"
 
 
 class TestSemigroupMembership:
@@ -523,6 +582,39 @@ def index_one_systems(draw):
         weights += [a] * count
     assume(len(weights) <= 8)
     return WeightSystem.of(weights, degree)
+
+
+@st.composite
+def star_case_systems(draw):
+    # weights holding 2 and a with degree 2a, plus divisors of 2a; completed to
+    # index 1 with ones half of the time, which gives the boundary shape
+    # (1,...,1,2,a : 2a) among others
+    a = draw(st.integers(3, 15))
+    degree = 2 * a
+    divisors = [b for b in range(1, degree) if degree % b == 0]
+    weights = [2, a] + draw(st.lists(st.sampled_from(divisors), max_size=3))
+    rest = degree + 1 - sum(weights)
+    if rest >= 0 and draw(st.booleans()):
+        weights += [1] * rest
+    assume(len(weights) <= 10)
+    return WeightSystem.of(weights, degree)
+
+
+# (1,...,1 : n), the other boundary shape
+all_ones_systems = st.integers(2, 8).map(lambda n: WeightSystem((1,) * (n + 1), n))
+
+
+class TestLemmaInequalityOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(ascending_systems, index_one_systems(), star_case_systems(), all_ones_systems))
+    @example(WeightSystem((1, 1, 2, 2, 5), 10))
+    @example(WeightSystem((1, 1, 2, 3), 6))
+    def test_matches_per_pair_evaluation(self, ws):
+        report = check_lemma_ineq(ws)
+        expected = naive_check_lemma_ineq(ws)
+        assert report == expected
+        assert repr(report) == repr(expected)
+        assert all(isinstance(ch.lhs, Fraction) and isinstance(ch.rhs, Fraction) for ch in report.checks)
 
 
 class TestSharedChecks:

@@ -6,6 +6,7 @@ cancellation in a Counter, so the JSON files cannot drift silently.
 """
 
 import hashlib
+import json
 import random
 from collections import Counter
 from functools import cache
@@ -266,6 +267,12 @@ def naive_plan_cover_for_support(support):
     return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
 
 
+def fermat_support_in_source_order(weights, degree):
+    """The support {z_i**(d/a_i)} with the weights kept in the given order."""
+    rows = [tuple(degree // a if j == i else 0 for j in range(len(weights))) for i, a in enumerate(weights)]
+    return Support.of(weights, degree, rows)
+
+
 @st.composite
 def shuffled_supports(draw):
     # 1 to 4 variables of weight 1..6 in any source order, so the first step
@@ -333,6 +340,27 @@ class TestMonomialAndSupport:
         path.write_text('{"weights": [1, 2], "degree": 4}', encoding="utf-8")
         with pytest.raises(SupportError, match="schema"):
             load_support(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0, 2, 0), "monomial has 3 exponents, ambient has 2 weights"),
+            ((4,), "monomial has 1 exponents, ambient has 2 weights"),
+            ((6, -1), "exponents must be non-negative integers"),
+            ((0, 2.0), "exponents must be non-negative integers"),
+        ],
+    )
+    def test_malformed_row_is_a_support_error(self, tmp_path, row, message):
+        with pytest.raises(SupportError, match=message):
+            Support.of((1, 2), 4, [(4, 0), row])
+        path = tmp_path / "bad_row.json"
+        path.write_text(json.dumps({"weights": [1, 2], "degree": 4, "monomials": [[4, 0], list(row)]}), encoding="utf-8")
+        with pytest.raises(SupportError, match=message):
+            load_support(path)
+
+    def test_constructor_rejects_row_of_wrong_length(self):
+        with pytest.raises(SupportError, match="monomial has 3 exponents, ambient has 2 weights"):
+            Support((1, 2), 4, (Monomial((0, 2, 0)),))
 
 
 class TestFixturesRederived:
@@ -663,6 +691,11 @@ class TestSupportPlanner:
     @example(Support.of((5,), 5, [(1,)]))
     @example(Support.of((1,), 4, [(4,)]))
     @example(Support.of((2, 1), 4, [(0, 4), (1, 2), (2, 0)]))
+    # unsorted sources whose smallest weight above 1 sits at non-adjacent
+    # positions: the lowest of them is covered first
+    @example(fermat_support_in_source_order((3, 2, 5, 2), 30))
+    @example(fermat_support_in_source_order((4, 2, 3, 2, 1), 12))
+    @example(Support.of((2, 1, 2), 4, [(2, 0, 0), (0, 4, 0), (0, 0, 2), (1, 2, 0), (0, 2, 1)]))
     def test_matches_support_based_planner(self, support):
         plan = plan_cover_for_support(support)
         assert plan == naive_plan_cover_for_support(support)
@@ -670,6 +703,24 @@ class TestSupportPlanner:
         # weights no larger, so no step creates a violation: a plan fails
         # before its first step or not at all
         assert plan.ok or not plan.steps
+
+
+    @pytest.mark.parametrize("helper", ["_substitute_rows", "_cover_rows"])
+    def test_degree_guard_rejects_a_row_of_wrong_degree(self, monkeypatch, helper):
+        # the planner substitutes and then covers on this support; a helper
+        # that returns one row of the wrong weighted degree must be caught
+        real = getattr(monomial, helper)
+
+        def one_wrong_row(*args):
+            result = real(*args)
+            rows = result if helper == "_substitute_rows" else result[1]
+            rows[0] = (rows[0][0] + 1, *rows[0][1:])
+            return result
+
+        monkeypatch.setattr(monomial, helper, one_wrong_row)
+        support = Support.of((1, 2), 4, [(4, 0), (2, 1), (0, 2)])
+        with pytest.raises(AssertionError, match="left weighted degree"):
+            plan_cover_for_support(support)
 
 
 class TestUniversalPlanner:
