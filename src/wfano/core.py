@@ -29,11 +29,12 @@ class WeightSystem:
         ws = tuple(weights)
         if not ws:
             raise ValueError("weight system needs at least one weight")
-        if any(not isinstance(a, int) or a <= 0 for a in ws):
+        # type, not isinstance: a bool is an int but no weight or degree
+        if any(type(a) is not int or a <= 0 for a in ws):
             raise ValueError(f"weights must be positive integers, got {ws!r}")
         if any(ws[i] > ws[i + 1] for i in range(len(ws) - 1)):
             raise ValueError(f"weights must be sorted ascending, got {ws!r}")
-        if not isinstance(degree, int) or degree <= 0:
+        if type(degree) is not int or degree <= 0:
             raise ValueError(f"degree must be a positive integer, got {degree!r}")
         # frozen dataclass: bypass the generated __init__ field protection
         object.__setattr__(self, "weights", ws)
@@ -324,25 +325,27 @@ def _least_multiple(target: int, g: int, c: int) -> int | None:
     return m if m * g <= target else None
 
 
-def _peeled(target: int, a: int, b: int, large: tuple[int, ...]) -> Iterator[int]:
-    """target minus every sum of multiples of large that stays >= 0, each c
-    in large taken fewer than a / gcd(a, c) times, for sorted a < b < large.
+def _peeled(target: int, g: int, a: int, large: tuple[int, ...]) -> Iterator[int]:
+    """target minus every sum of multiples of the sorted large that stays >= 0,
+    each c in large taken fewer than a / gcd(a, c) times; last generator
+    first, counts ascending.
 
     The cap loses no combination that may also use a: with h = gcd(a, c),
     a/h copies of c make the same sum as c/h copies of a.  A branch whose
-    target is no sum of its free generators (a, b and large) is skipped: J
-    of them sum to a value in [J*a, J*hi], hi the largest, so a target
-    outside every such interval lies outside <a, b, large>.
+    target is no sum of its free generators (g, a and the large ones not yet
+    peeled) is skipped: J of them sum to a value in [J*lo, J*hi], lo and hi
+    the smallest and largest, so a target outside every such interval lies
+    outside their semigroup.
     """
-    hi = large[-1] if large else b
-    if -(-target // hi) > target // a:
+    hi = max(g, large[-1] if large else a)
+    if -(-target // hi) > target // min(g, a):
         return
     if not large:
         yield target
         return
     c = large[-1]
     for m in range(min(target // c, a // gcd(a, c) - 1) + 1):
-        yield from _peeled(target - m * c, a, b, large[:-1])
+        yield from _peeled(target - m * c, g, a, large[:-1])
 
 
 def _representable(target: int, gens: tuple[int, ...]) -> bool:
@@ -370,7 +373,7 @@ def _representable(target: int, gens: tuple[int, ...]) -> bool:
     if target > (a - 1) * (gens[-1] - 1) - 1:
         return True
     b = gens[1]
-    return any(_least_multiple(t, b, a) is not None for t in _peeled(target, a, b, gens[2:]))
+    return any(_least_multiple(t, b, a) is not None for t in _peeled(target, b, a, gens[2:]))
 
 
 def _checked_inputs(target: int, generators: Iterable[int]) -> tuple[int, ...]:
@@ -397,35 +400,19 @@ def _least_coefficient(remaining: int, g: int, rest: tuple[int, ...]) -> int | N
 
     rest is sorted and distinct.  With no generator left, m*g must be all of
     remaining.  Otherwise m is the least closed-form _least_multiple against
-    a = rest[0] over the targets of the capped peel of rest[1:] by a (as in
-    _peeled), searched depth first.  The search returns once m = 0, and it
-    skips a branch that cannot beat the best m so far because it holds no
-    decomposition at all: J generators between lo and hi sum to a value in
-    [J*lo, J*hi], so a target outside every such interval of the branch's free
-    generators (g and a among them) is no sum of them.
+    a = rest[0] over the targets of the capped peel of rest[1:], stopping
+    once m = 0.
     """
     if not rest:
         return None if remaining % g else remaining // g
-    a, large = rest[0], rest[1:]
-    lo = min(g, a)
+    a = rest[0]
     best: int | None = None
-
-    def search(target: int, free: int) -> bool:
-        """Lower best over the peel of large[:free] from target; True once best is 0."""
-        nonlocal best
-        hi = max(g, large[free - 1] if free else a)
-        if -(-target // hi) > target // lo:
-            return False
-        if not free:
-            m = _least_multiple(target, g, a)
-            if m is not None and (best is None or m < best):
-                best = m
-            return best == 0
-        c = large[free - 1]
-        cap = min(target // c, a // gcd(a, c) - 1)
-        return any(search(target - k * c, free - 1) for k in range(cap + 1))
-
-    search(remaining, len(large))
+    for target in _peeled(remaining, g, a, rest[1:]):
+        m = _least_multiple(target, g, a)
+        if m is not None and (best is None or m < best):
+            best = m
+            if m == 0:
+                break
     return best
 
 

@@ -85,6 +85,10 @@ class EnumerationQuery:
     d_max: int | None = None
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            # type, not isinstance: a bool or a float read from JSON is no count
+            if type(value) is not int and not (name == "d_max" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_weights < 3:
             raise ValueError(f"num_weights must be at least 3, got {self.num_weights}")
         if self.index < 1:
@@ -240,11 +244,9 @@ def load_catalog(path: str | Path, query: EnumerationQuery | None = None) -> Enu
         payload = json.loads(text)
     except json.JSONDecodeError as exc:  # message carries line/column/position
         raise CatalogError(f"catalog parse error: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") != CATALOG_VERSION:
-        raise CatalogError(
-            f"catalog version mismatch: expected {CATALOG_VERSION}, "
-            f"got {payload.get('version') if isinstance(payload, dict) else type(payload).__name__!r}"
-        )
+    version = payload.get("version") if isinstance(payload, dict) else type(payload).__name__
+    if type(version) is not int or version != CATALOG_VERSION:  # true and 1.0 equal 1
+        raise CatalogError(f"catalog version mismatch: expected {CATALOG_VERSION}, got {version!r}")
     try:
         fields = dict(payload["query"])
         for key, value in _CATALOG_FILTERS.items():
@@ -254,7 +256,9 @@ def load_catalog(path: str | Path, query: EnumerationQuery | None = None) -> Enu
         systems = tuple(
             WeightSystem(tuple(entry["weights"]), entry["degree"]) for entry in payload["systems"]
         )
-        complete = bool(payload["complete"])
+        complete = payload["complete"]
+        if not isinstance(complete, bool):
+            raise ValueError(f"complete must be true or false, got {json.dumps(complete)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"catalog schema error: {exc}") from exc
     if list(systems) != sorted(set(systems)):

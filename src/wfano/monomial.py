@@ -47,7 +47,7 @@ class Monomial:
     def __post_init__(self) -> None:
         if not self.exponents:
             raise ValueError("monomial needs at least one exponent")
-        if any(not isinstance(k, int) or k < 0 for k in self.exponents):
+        if any(type(k) is not int or k < 0 for k in self.exponents):  # a bool is no exponent
             raise ValueError(f"exponents must be non-negative integers, got {self.exponents!r}")
 
     def degree(self, weights: tuple[int, ...]) -> int:
@@ -70,9 +70,10 @@ class Support:
     monomials: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        if not self.weights or any(not isinstance(a, int) or a <= 0 for a in self.weights):
+        # type, not isinstance: a bool is an int but no weight or degree
+        if not self.weights or any(type(a) is not int or a <= 0 for a in self.weights):
             raise SupportError(f"weights must be positive integers, got {self.weights!r}")
-        if not isinstance(self.degree, int) or self.degree <= 0:
+        if type(self.degree) is not int or self.degree <= 0:
             raise SupportError(f"degree must be a positive integer, got {self.degree!r}")
         if not self.monomials:
             raise SupportError("support must contain at least one monomial")
@@ -270,12 +271,8 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
     a_i = _weight_at(weights, i)
     if a_i <= 1:
         raise ValueError(f"universal star check at index {i} needs weight > 1, got {a_i}")
-    lowest_position: dict[int, int] = {}
-    for j, a in enumerate(weights):
-        if j != i and a not in lowest_position:
-            lowest_position[a] = j
     # sorted, distinct and positive: the internal membership test needs no re-check
-    found = _blocking_subset(ws.degree, a_i, tuple(sorted(a for a in lowest_position if a_i % a)))
+    found = _blocking_subset(ws.degree, a_i, tuple(sorted({a for a in weights if a_i % a})))
     if found is None:
         return UniversalStarCheck(True)
     combo, remainder = found
@@ -285,7 +282,7 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
     exps = [0] * len(weights)
     exps[i] = 1
     for value, m in zip(combo, coeffs):
-        exps[lowest_position[value]] = 1 + m
+        exps[weights.index(value)] = 1 + m  # no pool value is a_i, so never position i
     return UniversalStarCheck(False, Monomial(tuple(exps)))
 
 

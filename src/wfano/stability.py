@@ -23,10 +23,10 @@ from .core import (
     SHAPE_ALL_ONES,
     SHAPE_STAR,
     WeightSystem,
+    _threshold,
     boundary_shape,
     require_preconditions,
     star_case,
-    threshold_c,
 )
 from .enumeration import EnumerationResult
 from .monomial import CoverPlan, Support, plan_cover_for_support, plan_cover_universal
@@ -110,11 +110,10 @@ def alpha_lower_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | N
     if not cover_available:
         return None
     assumptions = (COVER_ASSUMPTION,)
-    if star_case(ws).holds:
-        return AlphaBound(threshold_c(ws), ALPHA_STAR, assumptions)
-    if ws.weights[0] >= 2:
+    star = star_case(ws)
+    if not star.holds and ws.weights[0] >= 2:
         return AlphaBound(Fraction(1), ALPHA_ALL_GE2, assumptions)
-    return AlphaBound(threshold_c(ws), ALPHA_GENERIC, assumptions)
+    return AlphaBound(_threshold(ws.degree, star), ALPHA_STAR if star.holds else ALPHA_GENERIC, assumptions)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,13 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "monomial has 3 exponents, ambient has 2 weights" in result.output
 
+    def test_support_bool_exponent(self, runner, tmp_path):
+        bad = tmp_path / "bool_row.json"
+        bad.write_text('{"weights": [1, 2], "degree": 4, "monomials": [[2, true]]}', encoding="utf-8")
+        result = runner.invoke(cli, ["analyze", "1,1,2,3:6", "--support", str(bad)])
+        assert result.exit_code == 2
+        assert "exponents must be non-negative integers" in result.output
+
     def test_rejects_unknown_member_flag(self, runner):
         result = runner.invoke(cli, ["analyze", "1,1,2,3:6", "--member", "generic"])
         assert result.exit_code == 2

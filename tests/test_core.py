@@ -27,6 +27,7 @@ from wfano import (
     StarCase,
     WeightSystem,
     check_lemma_ineq,
+    classify,
     minimal_triple_gap,
     semigroup_decomposition,
     semigroup_representable,
@@ -86,6 +87,13 @@ class TestWeightSystem:
             WeightSystem((0, 1, 2), 3)
         with pytest.raises(ValueError, match="positive"):
             WeightSystem((1, 1, 2), 0)
+
+    def test_constructor_rejects_bool(self):
+        # True == 1, yet (True,1,1,1):3 would render as "True,1,1,1:3"
+        with pytest.raises(ValueError, match="weights must be positive integers"):
+            WeightSystem((True, 1, 1, 1), 3)
+        with pytest.raises(ValueError, match="degree must be a positive integer"):
+            WeightSystem((1,), True)
 
     def test_basic_properties(self):
         ws = WeightSystem((1, 1, 2, 3, 6), 12)
@@ -517,6 +525,21 @@ class TestSemigroupDecomposition:
         calls = self._count_pair_tests(monkeypatch)
         assert core._least_coefficient(20, 2, (3, 5, 7)) == 0
         assert calls == [(20, 2, 3), (15, 2, 3)]
+
+
+def test_catalog_pair_tests_pinned(fourfold_catalog, monkeypatch):
+    # the pair tests that classify makes on the 661 fourfolds and on their
+    # lifts (a..., d : 2d) to dimension 5, the traffic of the classify4 and
+    # classify5_lift benchmark workloads; membership and decomposition share
+    # the capped peel
+    calls = TestSemigroupDecomposition._count_pair_tests(monkeypatch)
+    for ws in fourfold_catalog.systems:
+        classify(ws)
+    assert len(calls) == 1284
+    calls.clear()
+    for ws in fourfold_catalog.systems:
+        classify(WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree))
+    assert len(calls) == 872
 
 
 class TestTripleGap:

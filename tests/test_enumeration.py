@@ -259,3 +259,48 @@ class TestCatalogPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(CatalogError, match="schema"):
             load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # each was read as a valid value: true == 1, 4.0 == 4, "false" and 1 are truthy
+            (lambda p: p["systems"][0].update(weights=[True, 1, 1, 1]), "weights must be positive integers"),
+            (lambda p: p["query"].update(num_weights=4.0), "num_weights must be an integer, got 4.0"),
+            (lambda p: p["query"].update(d_max=True), "d_max must be an integer, got True"),
+            (lambda p: p.update(complete="false"), 'complete must be true or false, got "false"'),
+            (lambda p: p.update(complete=1), "complete must be true or false, got 1"),
+        ],
+        ids=["weight_true", "num_weights_float", "d_max_true", "complete_string", "complete_one"],
+    )
+    def test_values_that_are_not_integers_or_booleans(self, surface_catalog, tmp_path, edit, message):
+        path = tmp_path / "typed.json"
+        save_catalog(surface_catalog, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CatalogError, match=f"schema error: {message}"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_an_integer(self, surface_catalog, tmp_path, version):
+        path = tmp_path / "typed_version.json"
+        save_catalog(surface_catalog, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = version
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CatalogError, match="version"):
+            load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"num_weights": 4.0, "index": 1}, "num_weights must be an integer, got 4.0"),
+        ({"num_weights": 4, "index": True}, "index must be an integer, got True"),
+        ({"num_weights": 4, "index": 1, "d_max": 10.5}, "d_max must be an integer, got 10.5"),
+    ],
+    ids=["num_weights_float", "index_true", "d_max_float"],
+)
+def test_query_requires_integer_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        EnumerationQuery(**fields)

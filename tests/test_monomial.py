@@ -358,6 +358,24 @@ class TestMonomialAndSupport:
         with pytest.raises(SupportError, match=message):
             load_support(path)
 
+    @pytest.mark.parametrize(
+        "weights, degree, rows, message",
+        [
+            ((True, 2), 4, [(4, 0)], "weights must be positive integers"),
+            ((1,), True, [(1,)], "degree must be a positive integer"),
+            ((1, 2), 4, [(2, True)], "exponents must be non-negative integers"),
+        ],
+        ids=["weight", "degree", "exponent"],
+    )
+    def test_bool_is_a_support_error(self, tmp_path, weights, degree, rows, message):
+        # JSON true reads as True == 1, which is no weight, degree or exponent
+        with pytest.raises(SupportError, match=message):
+            Support.of(weights, degree, rows)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"weights": weights, "degree": degree, "monomials": rows}), encoding="utf-8")
+        with pytest.raises(SupportError, match=message):
+            load_support(path)
+
     def test_constructor_rejects_row_of_wrong_length(self):
         with pytest.raises(SupportError, match="monomial has 3 exponents, ambient has 2 weights"):
             Support((1, 2), 4, (Monomial((0, 2, 0)),))
