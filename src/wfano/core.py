@@ -117,6 +117,8 @@ class ValidationReport:
 
 def validate(ws: WeightSystem, index: int) -> ValidationReport:
     """Check well-formedness, divisibility, the linear-cone exclusion and the index."""
+    if type(index) is not int:
+        raise ValueError(f"index must be an integer, got {index!r}")
     if index <= 0:
         raise ValueError(f"index must be positive, got {index}")
     return ValidationReport(
@@ -378,13 +380,13 @@ def _representable(target: int, gens: tuple[int, ...]) -> bool:
 
 def _checked_inputs(target: int, generators: Iterable[int]) -> tuple[int, ...]:
     """Sorted distinct generators; ValueError unless target is an int and
-    every generator a positive int."""
-    if not isinstance(target, int):
+    every generator a positive int (type, not isinstance: a bool is neither)."""
+    if type(target) is not int:
         raise ValueError(f"target must be an integer, got {target!r}")
-    gens = tuple(sorted(set(generators)))
-    if any(not isinstance(g, int) or g <= 0 for g in gens):
+    gens = tuple(generators)
+    if any(type(g) is not int or g <= 0 for g in gens):
         raise ValueError(f"generators must be positive integers, got {gens!r}")
-    return gens
+    return tuple(sorted(set(gens)))
 
 
 def semigroup_representable(target: int, generators: Iterable[int]) -> bool:

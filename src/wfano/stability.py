@@ -84,6 +84,7 @@ ALPHA_ALL_GE2 = "all_weights_ge2"
 ALPHA_GENERIC = "generic"
 
 COVER_ASSUMPTION = "smooth cover exists for a general member"
+_ALPHA_UNDEFINED = "alpha bound undefined for"
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,12 @@ def alpha_lower_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | N
     constant threshold_c: (d-2)/d in the star case, (d-1)/d otherwise,
     upgraded to 1 outside the star case when every weight is at least 2.
     """
-    require_preconditions(ws, "alpha bound undefined for", index_one=True)
+    require_preconditions(ws, _ALPHA_UNDEFINED, index_one=True)
+    return _alpha_bound(ws, cover_available)
+
+
+def _alpha_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | None:
+    """alpha_lower_bound for a system known to meet its hypotheses."""
     if not cover_available:
         return None
     assumptions = (COVER_ASSUMPTION,)
@@ -197,17 +203,30 @@ class TraceEntry:
     payload: Any = field(default=None, compare=False, repr=False)
 
 
-# an evaluator maps recorded inputs to (conclusion, verdict, payload)
-Evaluator = Callable[[dict], tuple[str, Verdict | None, Any]]
+# an evaluator maps the recorded system, checked by the criterion's gate (None
+# when the inputs record no weights and degree), and the recorded inputs to
+# (conclusion, verdict, payload)
+Evaluator = Callable[[WeightSystem | None, dict], tuple[str, Verdict | None, Any]]
+# a gate raises ValueError when a system fails the hypotheses of a criterion
+Gate = Callable[[WeightSystem], None]
 
 _EVALUATORS: dict[str, Evaluator] = {}
 _CITES: dict[str, str] = {}
+_GATES: dict[str, Gate] = {}
 
 
-def register_criterion(name: str, cite: str) -> Callable[[Evaluator], Evaluator]:
+def _standing(ws: WeightSystem) -> None:
+    """The gate of every criterion that reads a weight system, unless it names another."""
+    require_preconditions(ws, "criterion undefined for")
+
+
+def register_criterion(
+    name: str, cite: str, gate: Gate = _standing
+) -> Callable[[Evaluator], Evaluator]:
     def wrap(fn: Evaluator) -> Evaluator:
         _EVALUATORS[name] = fn
         _CITES[name] = cite
+        _GATES[name] = gate
         return fn
 
     return wrap
@@ -217,16 +236,31 @@ def registered_criteria() -> tuple[str, ...]:
     return tuple(sorted(_EVALUATORS))
 
 
-def make_entry(criterion: str, inputs: dict) -> TraceEntry:
-    conclusion, verdict, payload = _EVALUATORS[criterion](inputs)
+def _checked_system(criterion: str, inputs: dict) -> WeightSystem | None:
+    """The recorded system, None when the inputs record no weights and degree;
+    ValueError when it fails the criterion's gate."""
+    if "weights" not in inputs or "degree" not in inputs:
+        return None
+    ws = WeightSystem.of(inputs["weights"], inputs["degree"])
+    _GATES[criterion](ws)
+    return ws
+
+
+def make_entry(criterion: str, inputs: dict, system: WeightSystem | None = None) -> TraceEntry:
+    """Evaluate a criterion on inputs; system is the recorded system, known to
+    pass the criterion's gate, or None to build and check it from the inputs."""
+    if system is None:
+        system = _checked_system(criterion, inputs)
+    conclusion, verdict, payload = _EVALUATORS[criterion](system, inputs)
     return TraceEntry(criterion, _CITES[criterion], dict(inputs), conclusion, verdict, payload)
 
 
 def recompute_entry(entry: TraceEntry) -> tuple[str, Verdict | None]:
     """Re-run the entry's criterion on its recorded inputs; the payload is dropped."""
-    if entry.criterion not in _EVALUATORS:
-        raise KeyError(f"unregistered criterion {entry.criterion!r}")
-    conclusion, verdict, _ = _EVALUATORS[entry.criterion](entry.inputs)
+    criterion, inputs = entry.criterion, entry.inputs
+    if criterion not in _EVALUATORS:
+        raise KeyError(f"unregistered criterion {criterion!r}")
+    conclusion, verdict, _ = _EVALUATORS[criterion](_checked_system(criterion, inputs), inputs)
     return conclusion, verdict
 
 
@@ -241,19 +275,11 @@ CRIT_BOUNDARY_PARITY = "alpha_boundary_star_parity"
 CRIT_KE = "kahler_einstein"
 
 
-def _ws_from(inputs: dict) -> WeightSystem:
-    """The recorded system; ValueError when it fails the standing hypotheses."""
-    ws = WeightSystem.of(inputs["weights"], inputs["degree"])
-    require_preconditions(ws, "criterion undefined for")
-    return ws
-
-
 @register_criterion(
     CRIT_INDEX_VS_DIM,
     "a general member is K-stable when the Fano index is smaller than the dimension",
 )
-def _eval_index_vs_dimension(inputs: dict) -> tuple[str, Verdict | None, None]:
-    ws = _ws_from(inputs)
+def _eval_index_vs_dimension(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
     if ws.index < ws.dim:
         return (
             f"Fano index {ws.index} is smaller than the dimension {ws.dim}; "
@@ -273,7 +299,7 @@ def _eval_index_vs_dimension(inputs: dict) -> tuple[str, Verdict | None, None]:
     "the automorphism group is finite when the degree sum exceeds the sum of the "
     "largest c+1 weights, or when 0 < index < n - c",
 )
-def _eval_aut_finiteness(inputs: dict) -> tuple[str, Verdict | None, bool]:
+def _eval_aut_finiteness(ws: None, inputs: dict) -> tuple[str, Verdict | None, bool]:
     weights = tuple(inputs["weights"])
     degrees = tuple(inputs["multidegree"])
     finite = aut_finite(weights, degrees)
@@ -296,8 +322,7 @@ def _eval_aut_finiteness(inputs: dict) -> tuple[str, Verdict | None, bool]:
     "the smallest weight, strictly K-semistable at equality, K-unstable beyond; "
     "K-polystable plus a finite automorphism group gives K-stable",
 )
-def _eval_fermat_margin(inputs: dict) -> tuple[str, Verdict | None, None]:
-    ws = _ws_from(inputs)
+def _eval_fermat_margin(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
     result = _fermat_stability(ws, inputs["aut_finite"])
     finiteness = "finite" if result.aut_finite else "not decided"
     return (
@@ -313,8 +338,7 @@ def _eval_fermat_margin(inputs: dict) -> tuple[str, Verdict | None, None]:
     "iterated cyclic covers over the recorded coordinates produce a smooth finite "
     "cover of a quasi-smooth member",
 )
-def _eval_smooth_cover(inputs: dict) -> tuple[str, Verdict | None, CoverPlan]:
-    ws = _ws_from(inputs)
+def _eval_smooth_cover(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, CoverPlan]:
     if inputs["mode"] == "universal":
         plan = plan_cover_universal(ws)
         scope = "every quasi-smooth member"
@@ -338,14 +362,23 @@ def _eval_smooth_cover(inputs: dict) -> tuple[str, Verdict | None, CoverPlan]:
     )
 
 
+def _alpha_hypotheses(ws: WeightSystem) -> None:
+    """The standing hypotheses, then those of alpha_lower_bound (index 1, well-formed)."""
+    _standing(ws)
+    require_preconditions(ws, _ALPHA_UNDEFINED, index_one=True)
+
+
 @register_criterion(
     CRIT_ALPHA,
     "members carrying a smooth cover have alpha at least (d-2)/d in the "
     "double-weight case, (d-1)/d otherwise, and at least 1 when every weight "
     "is at least 2",
+    gate=_alpha_hypotheses,
 )
-def _eval_alpha_bound(inputs: dict) -> tuple[str, Verdict | None, AlphaBound | None]:
-    bound = alpha_lower_bound(_ws_from(inputs), cover_available=inputs["cover_available"])
+def _eval_alpha_bound(
+    ws: WeightSystem, inputs: dict
+) -> tuple[str, Verdict | None, AlphaBound | None]:
+    bound = _alpha_bound(ws, inputs["cover_available"])
     if bound is None:
         return ("alpha bound unavailable without a smooth cover", None, None)
     return (
@@ -361,8 +394,7 @@ def _eval_alpha_bound(inputs: dict) -> tuple[str, Verdict | None, AlphaBound | N
     CRIT_ALPHA_THRESHOLD,
     "a Fano variety whose alpha invariant exceeds dim/(dim+1) is K-stable",
 )
-def _eval_alpha_above_threshold(inputs: dict) -> tuple[str, Verdict | None, None]:
-    ws = _ws_from(inputs)
+def _eval_alpha_above_threshold(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
     bound = Fraction(inputs["alpha"]["num"], inputs["alpha"]["den"])
     threshold = Fraction(ws.dim, ws.dim + 1)
     if bound > threshold:
@@ -382,8 +414,7 @@ def _eval_alpha_above_threshold(inputs: dict) -> tuple[str, Verdict | None, None
     CRIT_BOUNDARY_SMOOTH,
     "a smooth Fano variety with alpha invariant equal to dim/(dim+1) is K-stable",
 )
-def _eval_alpha_boundary_smooth(inputs: dict) -> tuple[str, Verdict | None, None]:
-    ws = _ws_from(inputs)
+def _eval_alpha_boundary_smooth(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
     if boundary_shape(ws) != SHAPE_ALL_ONES:
         return ("not the all-ones boundary shape; criterion silent", None, None)
     threshold = Fraction(ws.dim, ws.dim + 1)
@@ -402,8 +433,9 @@ def _eval_alpha_boundary_smooth(inputs: dict) -> tuple[str, Verdict | None, None
     "it has only half-point quotient singularities, which are not weakly "
     "exceptional; K-stable either way",
 )
-def _eval_alpha_boundary_star_parity(inputs: dict) -> tuple[str, Verdict | None, None]:
-    ws = _ws_from(inputs)
+def _eval_alpha_boundary_star_parity(
+    ws: WeightSystem, inputs: dict
+) -> tuple[str, Verdict | None, None]:
     if boundary_shape(ws) != SHAPE_STAR:
         return (
             "not the double-weight boundary shape with all other weights 1; criterion silent",
@@ -432,7 +464,7 @@ def _eval_alpha_boundary_star_parity(inputs: dict) -> tuple[str, Verdict | None,
     CRIT_KE,
     "a K-stable Fano variety admits a Kahler-Einstein metric",
 )
-def _eval_kahler_einstein(inputs: dict) -> tuple[str, Verdict | None, None]:
+def _eval_kahler_einstein(ws: None, inputs: dict) -> tuple[str, Verdict | None, None]:
     return ("the member admits a Kahler-Einstein metric", None, None)
 
 
@@ -469,38 +501,41 @@ def classify(
     if support is not None and support.system != ws:
         raise ValueError("support ambient does not match the weight system")
 
+    # ws now passes every gate but the alpha bound's, which the index-1 branch
+    # below adds, so each entry recorded on ws takes it as its checked system
     base = {"weights": list(ws.weights), "degree": ws.degree}
     entries: list[TraceEntry] = []
     alpha: AlphaBound | None = None
     finite: bool | None = None
 
     if member_class == MEMBER_GENERAL:
-        entries.append(make_entry(CRIT_INDEX_VS_DIM, dict(base)))
+        entries.append(make_entry(CRIT_INDEX_VS_DIM, base, ws))
 
     if member_class == MEMBER_FERMAT:
         entries.append(
             make_entry(CRIT_AUT, {"weights": list(ws.weights), "multidegree": [ws.degree]})
         )
         finite = entries[-1].payload
-        entries.append(make_entry(CRIT_FERMAT, dict(base, aut_finite=finite)))
+        entries.append(make_entry(CRIT_FERMAT, dict(base, aut_finite=finite), ws))
 
     if ws.index == 1 and ws.well_formed:
-        entries.append(make_entry(CRIT_COVER, dict(base, mode="universal")))
+        entries.append(make_entry(CRIT_COVER, dict(base, mode="universal"), ws))
         if not entries[-1].payload.ok and support is not None:
             entries.append(make_entry(CRIT_COVER, dict(support.to_json(), mode="support")))
         covered = entries[-1].payload.ok
-        entries.append(make_entry(CRIT_ALPHA, dict(base, cover_available=covered)))
+        entries.append(make_entry(CRIT_ALPHA, dict(base, cover_available=covered), ws))
         alpha = entries[-1].payload
         if alpha is not None:
             if alpha.value > Fraction(ws.dim, ws.dim + 1):
-                entries.append(make_entry(CRIT_ALPHA_THRESHOLD, dict(base, alpha=alpha.to_json())))
+                above = dict(base, alpha=alpha.to_json())
+                entries.append(make_entry(CRIT_ALPHA_THRESHOLD, above, ws))
             else:
                 # the threshold bound meets dim/(dim+1) only on the two boundary shapes
                 shape = boundary_shape(ws)
                 if shape is None:
                     raise AssertionError(f"alpha bound below dim/(dim+1) for {ws.render()}")
                 boundary = CRIT_BOUNDARY_SMOOTH if shape == SHAPE_ALL_ONES else CRIT_BOUNDARY_PARITY
-                entries.append(make_entry(boundary, dict(base)))
+                entries.append(make_entry(boundary, base, ws))
 
     verdict = join_verdicts(entry.verdict for entry in entries)
     if verdict is Verdict.K_STABLE:

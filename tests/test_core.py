@@ -139,6 +139,11 @@ class TestWeightSystem:
         with pytest.raises(ValueError, match="index must be positive"):
             validate(WeightSystem((1, 1, 2), 3), 0)
 
+    def test_validate_rejects_bool_index(self):
+        # True == 1 would pass as the index of 1,1,2,3,6:12
+        with pytest.raises(ValueError, match="index must be an integer, got True"):
+            validate(WeightSystem((1, 1, 2, 3, 6), 12), True)
+
 
 class TestStarCase:
     def test_positive(self):
@@ -301,6 +306,14 @@ class TestSemigroupMembership:
             semigroup_representable(6.0, (2, 3))
         with pytest.raises(ValueError, match="target"):
             semigroup_representable(Fraction(6), (2, 3))
+
+    def test_rejects_bool(self):
+        # True == 1 lies in <1>, and 3 = 1*1 + 1*2, yet a bool is no target or generator
+        with pytest.raises(ValueError, match="target must be an integer, got True"):
+            semigroup_representable(True, (1,))
+        # checked before deduplication, where True and 1 are one element
+        with pytest.raises(ValueError, match="generators must be positive integers"):
+            semigroup_representable(3, (1, True))
 
 
 CAPPED_MEMBERSHIP = """
@@ -493,6 +506,10 @@ class TestSemigroupDecomposition:
             semigroup_decomposition(6.0, (2, 3))
         with pytest.raises(ValueError, match="target"):
             semigroup_decomposition(-3.0, (2, 3))
+
+    def test_rejects_bool_generator(self):
+        with pytest.raises(ValueError, match=r"positive integers, got \(True, 2\)"):
+            semigroup_decomposition(3, (True, 2))
 
     def test_duplicate_generators(self):
         gens = (3, 3, 4)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wfano
+from wfano import core
 from wfano import (
     ALPHA_ALL_GE2,
     ALPHA_GENERIC,
@@ -45,6 +47,7 @@ from wfano import (
     summary_to_json,
     threshold_c,
 )
+from wfano.stability import make_entry
 
 from conftest import FIXTURES
 
@@ -379,6 +382,7 @@ WEIGHT_ENTRIES = [
     pytest.param("fermat_margin", {"aut_finite": True}, id="fermat_margin"),
     pytest.param("smooth_cover", {"mode": "universal"}, id="smooth_cover_universal"),
     pytest.param("smooth_cover", {"mode": "support", "monomials": []}, id="smooth_cover_support"),
+    pytest.param("alpha_bound", {"cover_available": True}, id="alpha_bound"),
     pytest.param(
         "alpha_above_threshold",
         {"alpha": {"num": 1, "den": 1, "case": ALPHA_ALL_GE2}},
@@ -426,6 +430,23 @@ class TestTraceRecompute:
         with pytest.raises(ValueError, match="not positive|divide|linear cone"):
             recompute_entry(entry)
 
+    @pytest.mark.parametrize(
+        "weights, degree, message",
+        [
+            ((1, 1, 2, 2), 4, "alpha bound undefined for 1,1,2,2:4: index 2 != 1"),
+            ((1, 2, 2, 4, 4, 4), 16, "alpha bound undefined for 1,2,2,4,4,4:16: not well-formed"),
+        ],
+        ids=["index_two", "not_well_formed"],
+    )
+    def test_alpha_entry_keeps_the_index_one_gate(self, weights, degree, message):
+        # both systems meet the standing hypotheses; the alpha bound also needs
+        # index 1 and well-formedness, checked with the bound's own message
+        inputs = {"weights": list(weights), "degree": degree, "cover_available": True}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            recompute_entry(TraceEntry("alpha_bound", "", inputs, ""))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_entry("alpha_bound", inputs)
+
     def test_fermat_chain_reads_earlier_entries(self, fourfold_catalog):
         thresholds = 0
         for ws in fourfold_catalog.systems:
@@ -462,6 +483,62 @@ class TestTraceRecompute:
         report = classify(surface_catalog.systems[0], MEMBER_ANY)
         for entry in report.trace:
             assert entry.cite
+
+
+def _count_hypothesis_work(monkeypatch) -> Counter:
+    """Count precondition checks, system builds and well-formedness tests."""
+    counts: Counter = Counter()
+    errors, init, well_formed = (
+        core.precondition_errors, WeightSystem.__init__, WeightSystem.well_formed.fget
+    )
+
+    def counted_errors(*args, **kwargs):
+        counts["precondition_errors"] += 1
+        return errors(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["builds"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_well_formed(self):
+        counts["well_formed"] += 1
+        return well_formed(self)
+
+    monkeypatch.setattr(core, "precondition_errors", counted_errors)
+    monkeypatch.setattr(WeightSystem, "__init__", counted_init)
+    monkeypatch.setattr(WeightSystem, "well_formed", property(counted_well_formed))
+    return counts
+
+
+class TestHypothesisWork:
+    """classify checks each system once and hands it to every evaluator."""
+
+    def test_classify_checks_each_fourfold_once(self, fourfold_catalog, monkeypatch):
+        # the classify4 benchmark traffic: one standing check and one
+        # well-formedness test per system, both in classify; the only builds
+        # are the witness systems of the 8 failed plans
+        counts = _count_hypothesis_work(monkeypatch)
+        for ws in fourfold_catalog.systems:
+            classify(ws)
+        assert counts == {"precondition_errors": 661, "well_formed": 661, "builds": 8}
+
+    def test_recompute_builds_one_system_per_entry(self, fourfold_catalog, monkeypatch):
+        # the verify4 benchmark traffic: Fermat traces, then every entry recomputed
+        reports = [classify(ws, MEMBER_FERMAT) for ws in fourfold_catalog.systems]
+        entries = [e for report in reports for e in report.trace]
+        recorded = sum("weights" in e.inputs and "degree" in e.inputs for e in entries)
+        # a failed universal plan builds its witness system once more
+        failed = sum(e.criterion == "smooth_cover" and not e.payload.ok for e in entries)
+        counts = _count_hypothesis_work(monkeypatch)
+        for entry in entries:
+            assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
+        assert (recorded, failed) == (2636, 8)
+        # one standing check per recorded system, one index-one check per alpha entry
+        assert counts == {
+            "builds": recorded + failed,
+            "precondition_errors": recorded + 661,
+            "well_formed": 661,
+        }
 
 
 class TestReportJson:
