@@ -84,7 +84,6 @@ ALPHA_ALL_GE2 = "all_weights_ge2"
 ALPHA_GENERIC = "generic"
 
 COVER_ASSUMPTION = "smooth cover exists for a general member"
-_ALPHA_UNDEFINED = "alpha bound undefined for"
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,7 @@ def alpha_lower_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | N
     constant threshold_c: (d-2)/d in the star case, (d-1)/d otherwise,
     upgraded to 1 outside the star case when every weight is at least 2.
     """
-    require_preconditions(ws, _ALPHA_UNDEFINED, index_one=True)
-    return _alpha_bound(ws, cover_available)
-
-
-def _alpha_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | None:
-    """alpha_lower_bound for a system known to meet its hypotheses."""
+    require_preconditions(ws, "alpha bound undefined for", index_one=True)
     if not cover_available:
         return None
     assumptions = (COVER_ASSUMPTION,)
@@ -203,30 +197,19 @@ class TraceEntry:
     payload: Any = field(default=None, compare=False, repr=False)
 
 
-# an evaluator maps the recorded system, checked by the criterion's gate (None
-# when the inputs record no weights and degree), and the recorded inputs to
-# (conclusion, verdict, payload)
+# an evaluator maps the recorded system, checked against the standing hypotheses
+# (None when the inputs record no weights and degree), and the recorded inputs
+# to (conclusion, verdict, payload)
 Evaluator = Callable[[WeightSystem | None, dict], tuple[str, Verdict | None, Any]]
-# a gate raises ValueError when a system fails the hypotheses of a criterion
-Gate = Callable[[WeightSystem], None]
 
 _EVALUATORS: dict[str, Evaluator] = {}
 _CITES: dict[str, str] = {}
-_GATES: dict[str, Gate] = {}
 
 
-def _standing(ws: WeightSystem) -> None:
-    """The gate of every criterion that reads a weight system, unless it names another."""
-    require_preconditions(ws, "criterion undefined for")
-
-
-def register_criterion(
-    name: str, cite: str, gate: Gate = _standing
-) -> Callable[[Evaluator], Evaluator]:
+def register_criterion(name: str, cite: str) -> Callable[[Evaluator], Evaluator]:
     def wrap(fn: Evaluator) -> Evaluator:
         _EVALUATORS[name] = fn
         _CITES[name] = cite
-        _GATES[name] = gate
         return fn
 
     return wrap
@@ -236,21 +219,21 @@ def registered_criteria() -> tuple[str, ...]:
     return tuple(sorted(_EVALUATORS))
 
 
-def _checked_system(criterion: str, inputs: dict) -> WeightSystem | None:
+def _checked_system(inputs: dict) -> WeightSystem | None:
     """The recorded system, None when the inputs record no weights and degree;
-    ValueError when it fails the criterion's gate."""
+    ValueError when it fails the standing hypotheses."""
     if "weights" not in inputs or "degree" not in inputs:
         return None
     ws = WeightSystem.of(inputs["weights"], inputs["degree"])
-    _GATES[criterion](ws)
+    require_preconditions(ws, "criterion undefined for")
     return ws
 
 
 def make_entry(criterion: str, inputs: dict, system: WeightSystem | None = None) -> TraceEntry:
     """Evaluate a criterion on inputs; system is the recorded system, known to
-    pass the criterion's gate, or None to build and check it from the inputs."""
+    meet the standing hypotheses, or None to build and check it from the inputs."""
     if system is None:
-        system = _checked_system(criterion, inputs)
+        system = _checked_system(inputs)
     conclusion, verdict, payload = _EVALUATORS[criterion](system, inputs)
     return TraceEntry(criterion, _CITES[criterion], dict(inputs), conclusion, verdict, payload)
 
@@ -260,7 +243,7 @@ def recompute_entry(entry: TraceEntry) -> tuple[str, Verdict | None]:
     criterion, inputs = entry.criterion, entry.inputs
     if criterion not in _EVALUATORS:
         raise KeyError(f"unregistered criterion {criterion!r}")
-    conclusion, verdict, _ = _EVALUATORS[criterion](_checked_system(criterion, inputs), inputs)
+    conclusion, verdict, _ = _EVALUATORS[criterion](_checked_system(inputs), inputs)
     return conclusion, verdict
 
 
@@ -362,23 +345,16 @@ def _eval_smooth_cover(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | N
     )
 
 
-def _alpha_hypotheses(ws: WeightSystem) -> None:
-    """The standing hypotheses, then those of alpha_lower_bound (index 1, well-formed)."""
-    _standing(ws)
-    require_preconditions(ws, _ALPHA_UNDEFINED, index_one=True)
-
-
 @register_criterion(
     CRIT_ALPHA,
     "members carrying a smooth cover have alpha at least (d-2)/d in the "
     "double-weight case, (d-1)/d otherwise, and at least 1 when every weight "
     "is at least 2",
-    gate=_alpha_hypotheses,
 )
 def _eval_alpha_bound(
     ws: WeightSystem, inputs: dict
 ) -> tuple[str, Verdict | None, AlphaBound | None]:
-    bound = _alpha_bound(ws, inputs["cover_available"])
+    bound = alpha_lower_bound(ws, inputs["cover_available"])
     if bound is None:
         return ("alpha bound unavailable without a smooth cover", None, None)
     return (
@@ -501,8 +477,8 @@ def classify(
     if support is not None and support.system != ws:
         raise ValueError("support ambient does not match the weight system")
 
-    # ws now passes every gate but the alpha bound's, which the index-1 branch
-    # below adds, so each entry recorded on ws takes it as its checked system
+    # ws now meets the standing hypotheses, so each entry recorded on it takes
+    # it as its checked system
     base = {"weights": list(ws.weights), "degree": ws.degree}
     entries: list[TraceEntry] = []
     alpha: AlphaBound | None = None

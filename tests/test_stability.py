@@ -514,13 +514,13 @@ class TestHypothesisWork:
     """classify checks each system once and hands it to every evaluator."""
 
     def test_classify_checks_each_fourfold_once(self, fourfold_catalog, monkeypatch):
-        # the classify4 benchmark traffic: one standing check and one
-        # well-formedness test per system, both in classify; the only builds
-        # are the witness systems of the 8 failed plans
+        # the classify4 benchmark traffic: per system, the standing check and
+        # well-formedness test of classify, then the index-one check of the
+        # alpha bound; the only builds are the witness systems of the 8 failed plans
         counts = _count_hypothesis_work(monkeypatch)
         for ws in fourfold_catalog.systems:
             classify(ws)
-        assert counts == {"precondition_errors": 661, "well_formed": 661, "builds": 8}
+        assert counts == {"precondition_errors": 2 * 661, "well_formed": 2 * 661, "builds": 8}
 
     def test_recompute_builds_one_system_per_entry(self, fourfold_catalog, monkeypatch):
         # the verify4 benchmark traffic: Fermat traces, then every entry recomputed
