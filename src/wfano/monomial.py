@@ -21,8 +21,8 @@ smooth cover exists.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter, mul
 from pathlib import Path
@@ -32,6 +32,9 @@ from .core import WeightSystem, _representable, semigroup_decomposition
 
 NOTE_COVER = "cyclic cover z_i -> z_i**a_i; ambient weight a_i becomes 1"
 NOTE_SUBSTITUTE = "generic coordinate change z_i -> z_i + lambda*M removing a linear monomial"
+# distinct universal cover steps kept for sharing across plans; a fourfold
+# catalog pass needs 20, its lifts to dimension 5 another 23
+UNIVERSAL_STEP_CACHE_SIZE = 256
 
 
 class SupportError(ValueError):
@@ -434,6 +437,21 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
     return CoverPlan(steps=tuple(steps), ok=True, final_weights=weights)
 
 
+@lru_cache(maxsize=UNIVERSAL_STEP_CACHE_SIZE)
+def _universal_step(ones: int, i: int, n: int) -> CoverStep:
+    """The cover of position i behind `ones` leading ones among n variables.
+
+    The covered weight 1 moves behind the other ones, stable on ties.  A step
+    depends on these three integers alone and is frozen, so plans share it.
+    """
+    return CoverStep(
+        kind="cover",
+        index=i,
+        note=NOTE_COVER,
+        permutation=(*range(ones), i, *range(ones, i), *range(i + 1, n)),
+    )
+
+
 def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
     """Iterated cover construction valid for every quasi-smooth member.
 
@@ -455,7 +473,9 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
     """
     d, n = ws.degree, ws.num_weights
     ones = ws.weights.count(1)
-    copies = Counter(a for a in ws.weights if a > 1)  # ascending, as ws.weights is
+    copies: dict[int, int] = {}  # value -> its number of copies, ascending as ws.weights is
+    for a in ws.weights[ones:]:
+        copies[a] = copies.get(a, 0) + 1
     blocked_by: dict[int, tuple[int, ...]] = {}  # value -> the subset it blocked by
     steps: list[CoverStep] = []
     while copies:
@@ -469,7 +489,7 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
                 blocked_by[a] = found[0]
             i += k
         else:  # every value blocks; the first position the scan examines is the lowest
-            current = WeightSystem((1,) * ones + tuple(copies.elements()), d)
+            current = WeightSystem((1,) * ones + tuple(a for a, k in copies.items() for _ in range(k)), d)
             check = universal_star_at(current, ones)
             return CoverPlan(
                 steps=tuple(steps),
@@ -480,9 +500,7 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
             )
         del copies[a]
         for _ in range(k):
-            # the covered weight 1 moves behind the other ones, stable on ties
-            perm = (*range(ones), i, *range(ones, i), *range(i + 1, n))
-            steps.append(CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=perm))
+            steps.append(_universal_step(ones, i, n))
             i += 1
             ones += 1
     return CoverPlan(steps=tuple(steps), ok=True, final_weights=(1,) * n)

@@ -23,6 +23,7 @@ from wfano import (
     SupportError,
     WeightSystem,
     apply_cover,
+    classify,
     fermat_support,
     load_support,
     plan_cover_for_support,
@@ -775,6 +776,36 @@ class TestUniversalPlanner:
         text = "\n".join(repr(plan_cover_universal(ws)) for ws in systems)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == "cd35ffebd5e5f8f9f608831ec7be6e9d3f596e77ae22766ecbfa4809c97abfe6"
+
+    def test_cover_steps_built_once_per_distinct_step(self, fourfold_catalog, monkeypatch):
+        # a universal cover step depends only on (ones, position, length), so a
+        # classify pass over the fourfolds builds 20 steps and one over their
+        # lifts (a..., d : 2d) 23 more, against one step per cover otherwise
+        built = []
+        real = CoverStep.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args or kwargs)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoverStep, "__init__", counted)
+        monomial._universal_step.cache_clear()
+        for ws in fourfold_catalog.systems:
+            classify(ws)
+        assert len(built) == 20
+        built.clear()
+        for ws in fourfold_catalog.systems:
+            classify(WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree))
+        assert len(built) == 23
+        # 300 distinct steps in one plan: the cache stays within its bound
+        ws = WeightSystem((1,) + (2,) * 300, 4)
+        plan = plan_cover_universal(ws)
+        assert monomial._universal_step.cache_info().currsize <= monomial.UNIVERSAL_STEP_CACHE_SIZE
+        assert plan.steps == tuple(
+            CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=tuple(range(301)))
+            for i in range(1, 301)
+        )
+        assert plan == naive_plan_cover_universal(ws)
 
     @settings(max_examples=400)
     @given(divisible_systems())
