@@ -157,29 +157,17 @@ def require_preconditions(ws: WeightSystem, context: str, index_one: bool = Fals
         raise ValueError(f"{context} {ws.render()}: " + "; ".join(errors))
 
 
-@dataclass(frozen=True)
-class StarCase:
-    """Detection of the special shape d = 2a with weights containing 2 and a.
-
-    holds is true iff a = d/2 >= 3 and the weights contain both 2 and a.
-    """
-
-    holds: bool
-    a: int | None = None
-
-
-def star_case(ws: WeightSystem) -> StarCase:
+def star_case(ws: WeightSystem) -> int | None:
+    """The star value a = d/2 when a >= 3 and the weights contain both 2 and a, else None."""
     d = ws.degree
-    if d % 2 != 0:
-        return StarCase(False)
     a = d // 2
-    if a >= 3 and 2 in ws.weights and a in ws.weights:
-        return StarCase(True, a)
-    return StarCase(False)
+    if d % 2 == 0 and a >= 3 and 2 in ws.weights and a in ws.weights:
+        return a
+    return None
 
 
-def _threshold(degree: int, star: StarCase) -> Fraction:
-    return Fraction(degree - 2 if star.holds else degree - 1, degree)
+def _threshold(degree: int, star: int | None) -> Fraction:
+    return Fraction(degree - 1 if star is None else degree - 2, degree)
 
 
 def threshold_c(ws: WeightSystem) -> Fraction:
@@ -202,7 +190,7 @@ def boundary_shape(ws: WeightSystem) -> str | None:
     if ws.weights == (1,) * ws.num_weights:
         return SHAPE_ALL_ONES
     star = star_case(ws)
-    if star.holds and ws.weights == (1,) * (ws.num_weights - 2) + (2, star.a):
+    if star is not None and ws.weights == (1,) * (ws.num_weights - 2) + (2, star):
         return SHAPE_STAR
     return None
 
@@ -288,7 +276,7 @@ def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
     minus = {a: Fraction(-a) for a in values}  # rhs -a_j
     general = {a: Fraction(-d - 1 + a + d // a) for a in values if a > 1}
     unit_lhs, unit_rhs = Fraction(-d) + c * d, Fraction(-1)
-    star_lhs = Fraction(1 - d) + c * Fraction(d, 2) if star.holds else None
+    star_lhs = Fraction(1 - d) + c * Fraction(d, 2) if star is not None else None
     checks: list[InequalityCheck] = []
     for i, ai in enumerate(weights):
         for j, aj in enumerate(weights):
@@ -296,7 +284,7 @@ def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
                 continue
             if ai == 1:
                 checks.append(InequalityCheck(RULE_UNIT_WEIGHT, i, j, unit_lhs, unit_rhs))
-            elif star.holds and ai == 2 and aj == star.a:
+            elif ai == 2 and aj == star:
                 checks.append(InequalityCheck(RULE_STAR_PAIR, i, j, star_lhs, minus[aj]))
             else:
                 checks.append(InequalityCheck(RULE_GENERAL_PAIR, i, j, general[ai], minus[aj]))

@@ -35,6 +35,9 @@ NOTE_SUBSTITUTE = "generic coordinate change z_i -> z_i + lambda*M removing a li
 # distinct universal cover steps kept for sharing across plans; a fourfold
 # catalog pass needs 20, its lifts to dimension 5 another 23
 UNIVERSAL_STEP_CACHE_SIZE = 256
+# rows one substitution may add: one per power of M it expands, before
+# duplicates collapse; the shipped and catalog supports expand at most 47
+MAX_SUBSTITUTION_ROWS = 10_000
 
 
 class SupportError(ValueError):
@@ -210,14 +213,6 @@ def star_condition_at(support: Support, i: int) -> StarCheck:
     return StarCheck(True, index=i)
 
 
-@dataclass(frozen=True)
-class UniversalStarCheck:
-    """Star condition quantified over every possible degree-d monomial."""
-
-    ok: bool
-    witness: Monomial | None = None
-
-
 def _blocking_subset(d: int, a_i: int, pool: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """First subset S of pool with a_i outside <S> and d - a_i - sum(S) inside it.
 
@@ -251,7 +246,22 @@ def _blocking_subset(d: int, a_i: int, pool: tuple[int, ...]) -> tuple[tuple[int
     return None
 
 
-def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
+def _universal_witness(
+    weights: tuple[int, ...], i: int, combo: tuple[int, ...], remainder: int
+) -> Monomial:
+    """z_i * prod_{value in combo} z_j^(1+m), each value at its lowest position j,
+    with m the lexicographically smallest decomposition of remainder over combo."""
+    coeffs = semigroup_decomposition(remainder, combo)
+    if coeffs is None:
+        raise AssertionError(f"representable remainder {remainder} has no decomposition")
+    exps = [0] * len(weights)
+    exps[i] = 1
+    for value, m in zip(combo, coeffs):
+        exps[weights.index(value)] = 1 + m  # no pool value is a_i, so never position i
+    return Monomial(tuple(exps))
+
+
+def universal_star_at(ws: WeightSystem, i: int) -> StarCheck:
     """Would every conceivable member satisfy the star condition at position i?
 
     Fails iff some set of other variables S has a_i outside the semigroup of
@@ -277,16 +287,8 @@ def universal_star_at(ws: WeightSystem, i: int) -> UniversalStarCheck:
     # sorted, distinct and positive: the internal membership test needs no re-check
     found = _blocking_subset(ws.degree, a_i, tuple(sorted({a for a in weights if a_i % a})))
     if found is None:
-        return UniversalStarCheck(True)
-    combo, remainder = found
-    coeffs = semigroup_decomposition(remainder, combo)
-    if coeffs is None:
-        raise AssertionError(f"representable remainder {remainder} has no decomposition")
-    exps = [0] * len(weights)
-    exps[i] = 1
-    for value, m in zip(combo, coeffs):
-        exps[weights.index(value)] = 1 + m  # no pool value is a_i, so never position i
-    return UniversalStarCheck(False, Monomial(tuple(exps)))
+        return StarCheck(True, index=i)
+    return StarCheck(False, _universal_witness(weights, i, *found), i)
 
 
 def _cover_rows(
@@ -308,7 +310,17 @@ def _cover_rows(
 
 
 def _substitute_rows(rows: list[Row], i: int, replacement: Row) -> list[Row]:
-    """rows together with z_i^(t-r) * M^r for every row with k_i = t and r = 1..t."""
+    """rows together with z_i^(t-r) * M^r for every row with k_i = t and r = 1..t.
+
+    ValueError, before any row is built, when that adds more than
+    MAX_SUBSTITUTION_ROWS rows: the sum of the k_i is linear in the degree.
+    """
+    added = sum(row[i] for row in rows)
+    if added > MAX_SUBSTITUTION_ROWS:
+        raise ValueError(
+            f"substitution at position {i} would add up to {added} rows, more than "
+            f"{MAX_SUBSTITUTION_ROWS}; not decided"
+        )
     expanded = set(rows)
     for row in rows:
         t = row[i]
@@ -337,6 +349,7 @@ def substitute(support: Support, i: int, replacement: Monomial) -> Support:
     M must avoid z_i and have weighted degree a_i.  Every monomial with
     k_i = t > 0 contributes the expansions z_i^(t-r) * M^r for r = 0..t; the
     result is the union with the original support (no cancellation is assumed).
+    ValueError when that adds more than MAX_SUBSTITUTION_ROWS rows.
     """
     a_i = _weight_at(support.weights, i)
     if len(replacement.exponents) != len(support.weights):
@@ -470,33 +483,36 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
     value instead of one check per position and step.  It also follows
     that the plan fails exactly when no order of universal cover steps
     succeeds; that still does not mean that no smooth cover exists.
+
+    A failed plan builds the witness from the subset recorded for the lowest
+    value: universal_star_at finds the same, as no subset ahead of it in the
+    pool's order blocked in the larger pool where it was recorded.
     """
     d, n = ws.degree, ws.num_weights
     ones = ws.weights.count(1)
     copies: dict[int, int] = {}  # value -> its number of copies, ascending as ws.weights is
     for a in ws.weights[ones:]:
         copies[a] = copies.get(a, 0) + 1
-    blocked_by: dict[int, tuple[int, ...]] = {}  # value -> the subset it blocked by
+    blocked_by: dict[int, tuple[tuple[int, ...], int]] = {}  # value -> (subset, remainder)
     steps: list[CoverStep] = []
     while copies:
         i = ones  # the lowest position of the value under test
         for a, k in copies.items():
-            combo = blocked_by.get(a)
-            if combo is None or any(v not in copies for v in combo):
+            found = blocked_by.get(a)
+            if found is None or any(v not in copies for v in found[0]):
                 found = _blocking_subset(d, a, tuple(v for v in copies if a % v))
                 if found is None:
                     break
-                blocked_by[a] = found[0]
+                blocked_by[a] = found
             i += k
         else:  # every value blocks; the first position the scan examines is the lowest
-            current = WeightSystem((1,) * ones + tuple(a for a, k in copies.items() for _ in range(k)), d)
-            check = universal_star_at(current, ones)
+            weights = (1,) * ones + tuple(a for a, k in copies.items() for _ in range(k))
             return CoverPlan(
                 steps=tuple(steps),
                 ok=False,
-                witness=check.witness,
+                witness=_universal_witness(weights, ones, *blocked_by[weights[ones]]),
                 witness_index=ones,
-                witness_weights=current.weights,
+                witness_weights=weights,
             )
         del copies[a]
         for _ in range(k):

@@ -111,9 +111,9 @@ def alpha_lower_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | N
         return None
     assumptions = (COVER_ASSUMPTION,)
     star = star_case(ws)
-    if not star.holds and ws.weights[0] >= 2:
+    if star is None and ws.weights[0] >= 2:
         return AlphaBound(Fraction(1), ALPHA_ALL_GE2, assumptions)
-    return AlphaBound(_threshold(ws.degree, star), ALPHA_STAR if star.holds else ALPHA_GENERIC, assumptions)
+    return AlphaBound(_threshold(ws.degree, star), ALPHA_GENERIC if star is None else ALPHA_STAR, assumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -202,49 +202,39 @@ class TraceEntry:
 # to (conclusion, verdict, payload)
 Evaluator = Callable[[WeightSystem | None, dict], tuple[str, Verdict | None, Any]]
 
-_EVALUATORS: dict[str, Evaluator] = {}
-_CITES: dict[str, str] = {}
+_CRITERIA: dict[str, tuple[str, Evaluator]] = {}  # name -> (cite, evaluator)
 
 
 def register_criterion(name: str, cite: str) -> Callable[[Evaluator], Evaluator]:
     def wrap(fn: Evaluator) -> Evaluator:
-        _EVALUATORS[name] = fn
-        _CITES[name] = cite
+        _CRITERIA[name] = (cite, fn)
         return fn
 
     return wrap
 
 
 def registered_criteria() -> tuple[str, ...]:
-    return tuple(sorted(_EVALUATORS))
-
-
-def _checked_system(inputs: dict) -> WeightSystem | None:
-    """The recorded system, None when the inputs record no weights and degree;
-    ValueError when it fails the standing hypotheses."""
-    if "weights" not in inputs or "degree" not in inputs:
-        return None
-    ws = WeightSystem.of(inputs["weights"], inputs["degree"])
-    require_preconditions(ws, "criterion undefined for")
-    return ws
+    return tuple(sorted(_CRITERIA))
 
 
 def make_entry(criterion: str, inputs: dict, system: WeightSystem | None = None) -> TraceEntry:
     """Evaluate a criterion on inputs; system is the recorded system, known to
-    meet the standing hypotheses, or None to build and check it from the inputs."""
-    if system is None:
-        system = _checked_system(inputs)
-    conclusion, verdict, payload = _EVALUATORS[criterion](system, inputs)
-    return TraceEntry(criterion, _CITES[criterion], dict(inputs), conclusion, verdict, payload)
+    meet the standing hypotheses, or None to build it from the recorded weights
+    and degree, if any, and check it (ValueError when it fails them)."""
+    if criterion not in _CRITERIA:
+        raise KeyError(f"unregistered criterion {criterion!r}")
+    cite, evaluate = _CRITERIA[criterion]
+    if system is None and "weights" in inputs and "degree" in inputs:
+        system = WeightSystem.of(inputs["weights"], inputs["degree"])
+        require_preconditions(system, "criterion undefined for")
+    conclusion, verdict, payload = evaluate(system, inputs)
+    return TraceEntry(criterion, cite, dict(inputs), conclusion, verdict, payload)
 
 
 def recompute_entry(entry: TraceEntry) -> tuple[str, Verdict | None]:
     """Re-run the entry's criterion on its recorded inputs; the payload is dropped."""
-    criterion, inputs = entry.criterion, entry.inputs
-    if criterion not in _EVALUATORS:
-        raise KeyError(f"unregistered criterion {criterion!r}")
-    conclusion, verdict, _ = _EVALUATORS[criterion](_checked_system(inputs), inputs)
-    return conclusion, verdict
+    fresh = make_entry(entry.criterion, entry.inputs)
+    return fresh.conclusion, fresh.verdict
 
 
 CRIT_INDEX_VS_DIM = "index_vs_dimension"
@@ -394,6 +384,15 @@ def _eval_alpha_boundary_smooth(ws: WeightSystem, inputs: dict) -> tuple[str, Ve
     if boundary_shape(ws) != SHAPE_ALL_ONES:
         return ("not the all-ones boundary shape; criterion silent", None, None)
     threshold = Fraction(ws.dim, ws.dim + 1)
+    if ws.dim < 2:
+        # the conic is P^1: alpha = 1/2 = dim/(dim+1), K-polystable but not K-stable
+        return (
+            f"all weights equal 1 and the degree is {ws.degree}, with alpha >= dim/(dim+1) = "
+            f"{threshold}; equality suffices only in dimension at least 2, and the dimension "
+            f"is {ws.dim}; criterion silent",
+            None,
+            None,
+        )
     return (
         f"all weights equal 1 and the degree is {ws.degree}, so the member is a smooth "
         f"Fano hypersurface with alpha >= dim/(dim+1) = {threshold}; equality suffices "
@@ -497,7 +496,7 @@ def classify(
     if ws.index == 1 and ws.well_formed:
         entries.append(make_entry(CRIT_COVER, dict(base, mode="universal"), ws))
         if not entries[-1].payload.ok and support is not None:
-            entries.append(make_entry(CRIT_COVER, dict(support.to_json(), mode="support")))
+            entries.append(make_entry(CRIT_COVER, dict(support.to_json(), mode="support"), ws))
         covered = entries[-1].payload.ok
         entries.append(make_entry(CRIT_ALPHA, dict(base, cover_available=covered), ws))
         alpha = entries[-1].payload

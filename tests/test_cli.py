@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: output text, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -307,6 +310,16 @@ class TestCoverPlan:
             "over weights (3, 4, 5, 4, 15, 30)",
         ]
 
+    def test_support_substitution_too_large(self, runner, tmp_path):
+        # the planner substitutes z_1 -> z_1 + z_0^2 into z_1^a: a + 1 rows
+        a = 100_000_001
+        path = tmp_path / "large.json"
+        rows = [[0, a, 0, 0], [2 * a - 2, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+        path.write_text(json.dumps({"weights": [1, 2, a, a], "degree": 2 * a, "monomials": rows}))
+        result = runner.invoke(cli, ["cover-plan", f"1,2,{a},{a}:{2 * a}", "--support", str(path)])
+        assert result.exit_code == 2
+        assert "would add up to 100000002 rows, more than 10000; not decided" in result.output
+
     def test_support_mismatch(self, runner):
         result = runner.invoke(cli, ["cover-plan", "1,1,2,3:6", "--support", X60_PATH])
         assert result.exit_code == 2
@@ -348,3 +361,26 @@ class TestVerifyLemmas:
     def test_bad_dims_is_validation_error(self, runner):
         result = runner.invoke(cli, ["verify-lemmas", "--dims", "x"])
         assert result.exit_code == 2
+
+
+def readme_examples():
+    """(command line, expected stdout) of every `$ wfano ...` block in README.md,
+    except the abridged ones, which elide output as `[ ... ]`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```$", readme, flags=re.M | re.S):
+        command, _, output = block.partition("\n")
+        if command.startswith("$ wfano ") and "[ ... ]" not in output:
+            examples.append(pytest.param(command[2:], output, id=command[2:]))
+    return examples
+
+
+def test_readme_has_examples():
+    assert len(readme_examples()) >= 5
+
+
+@pytest.mark.parametrize("command, output", readme_examples())
+def test_readme_example(runner, command, output):
+    result = runner.invoke(cli, shlex.split(command)[1:])
+    assert result.exit_code == 0
+    assert result.output == output

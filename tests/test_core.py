@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import wfano
 from wfano import core
 from wfano import (
-    StarCase,
     WeightSystem,
     check_lemma_ineq,
     classify,
@@ -147,24 +146,21 @@ class TestWeightSystem:
 
 class TestStarCase:
     def test_positive(self):
-        sc = star_case(WeightSystem((1, 1, 2, 3, 6), 12))
-        assert isinstance(sc, StarCase)
-        assert sc.holds
-        assert sc.a == 6
+        assert star_case(WeightSystem((1, 1, 2, 3, 6), 12)) == 6
 
     def test_requires_even_degree(self):
-        assert not star_case(WeightSystem((1, 1, 1, 1), 3)).holds
+        assert star_case(WeightSystem((1, 1, 1, 1), 3)) is None
 
     def test_requires_both_weights(self):
         # d = 8, a = 4: the weights must contain both 2 and 4
-        assert star_case(WeightSystem((1, 1, 2, 4), 8)).holds
-        assert star_case(WeightSystem((1, 2, 2, 4), 8)).holds
-        assert not star_case(WeightSystem((1, 1, 4, 4), 8)).holds
-        assert not star_case(WeightSystem((1, 2, 2, 2), 8)).holds
+        assert star_case(WeightSystem((1, 1, 2, 4), 8)) == 4
+        assert star_case(WeightSystem((1, 2, 2, 4), 8)) == 4
+        assert star_case(WeightSystem((1, 1, 4, 4), 8)) is None
+        assert star_case(WeightSystem((1, 2, 2, 2), 8)) is None
 
     def test_half_degree_must_be_at_least_three(self):
         # d = 4 gives a = 2 < 3, excluded regardless of the weights
-        assert not star_case(WeightSystem((1, 1, 2, 2), 4)).holds
+        assert star_case(WeightSystem((1, 1, 2, 2), 4)) is None
 
 
 class TestThreshold:
@@ -194,7 +190,7 @@ def naive_check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
                 lhs = Fraction(-d - 1 + ai) + c * d
                 rhs = Fraction(-1)
                 rule = RULE_UNIT_WEIGHT
-            elif star.holds and ai == 2 and aj == star.a:
+            elif star is not None and ai == 2 and aj == star:
                 lhs = Fraction(-d - 1 + ai) + c * Fraction(d, ai)
                 rhs = Fraction(-aj)
                 rule = RULE_STAR_PAIR
@@ -552,7 +548,7 @@ def test_catalog_pair_tests_pinned(fourfold_catalog, monkeypatch):
     calls = TestSemigroupDecomposition._count_pair_tests(monkeypatch)
     for ws in fourfold_catalog.systems:
         classify(ws)
-    assert len(calls) == 1284
+    assert len(calls) == 1283
     calls.clear()
     for ws in fourfold_catalog.systems:
         classify(WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree))

@@ -35,7 +35,7 @@ from wfano import (
     universal_star_at,
 )
 from wfano import monomial
-from wfano.monomial import NOTE_COVER, NOTE_SUBSTITUTE, CoverPlan, CoverStep, UniversalStarCheck
+from wfano.monomial import NOTE_COVER, NOTE_SUBSTITUTE, CoverPlan, CoverStep, StarCheck
 
 from conftest import FIXTURES
 from test_core import naive_decomposition, naive_representable
@@ -120,8 +120,8 @@ def naive_universal_star_at(ws, i):
             for value, m in zip(combo, naive_decomposition(remainder, combo)):
                 lowest = min(j for j, a in enumerate(weights) if j != i and a == value)
                 exps[lowest] = 1 + m
-            return UniversalStarCheck(False, Monomial(tuple(exps)))
-    return UniversalStarCheck(True)
+            return StarCheck(False, Monomial(tuple(exps)), i)
+    return StarCheck(True, index=i)
 
 
 @st.composite
@@ -164,7 +164,7 @@ def naive_plan_cover_universal(ws):
             return CoverPlan(
                 steps=tuple(steps),
                 ok=False,
-                witness=blocked.witness,
+                witness=blocked.monomial,
                 witness_index=blocked_index,
                 witness_weights=current.weights,
             )
@@ -448,8 +448,8 @@ class TestUniversalStar:
         ws = WeightSystem((1, 1, 3, 4, 4, 5), 60)
         check = universal_star_at(ws, 2)
         assert not check.ok
-        assert check.witness == Monomial((0, 0, 1, 3, 0, 9))
-        assert check.witness.degree(ws.weights) == 60
+        assert check == StarCheck(False, Monomial((0, 0, 1, 3, 0, 9)), 2)
+        assert check.monomial.degree(ws.weights) == 60
 
     def test_open_positions(self):
         ws = WeightSystem((1, 1, 2, 3, 6), 12)
@@ -508,8 +508,8 @@ class TestUniversalStar:
         assert len(calls) == 190
 
     def test_sizes_zero_and_one_block_in_closed_form(self):
-        assert universal_star_at(WeightSystem((2, 3, 4), 7), 1).witness == Monomial((2, 1, 0))
-        assert universal_star_at(WeightSystem((2, 3), 3), 1).witness == Monomial((0, 1))
+        assert universal_star_at(WeightSystem((2, 3, 4), 7), 1).monomial == Monomial((2, 1, 0))
+        assert universal_star_at(WeightSystem((2, 3), 3), 1).monomial == Monomial((0, 1))
         assert monomial._blocking_subset(7, 3, (2, 4)) == ((2,), 2)
         assert monomial._blocking_subset(3, 3, (2,)) == ((), 0)
         assert monomial._blocking_subset(8, 3, ()) is None
@@ -523,7 +523,7 @@ class TestUniversalStar:
             check = universal_star_at(ws, i)
             if check.ok:
                 continue
-            rows = [check.witness.exponents]
+            rows = [check.monomial.exponents]
             rows += [m.exponents for m in fermat_support(ws).monomials]
             support = Support.of(ws.weights, ws.degree, rows)
             assert not star_condition_at(support, i).ok
@@ -583,6 +583,13 @@ class TestApplyCover:
             assert len(covered.monomials) == len(support.monomials)
 
 
+def large_substitution_support(a):
+    """{z_1^a, z_0^(2a-2) z_1, z_2^2, z_3^2} on 1,2,a,a:2a (a odd: well-formed,
+    divisible, index 3): substituting z_1 -> z_1 + z_0^2 expands a + 1 rows."""
+    rows = [(0, a, 0, 0), (2 * a - 2, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]
+    return Support.of((1, 2, a, a), 2 * a, rows)
+
+
 class TestSubstitute:
     def test_expansion_rows(self):
         support = Support.of((1, 1, 2), 4, [(4, 0, 0), (0, 0, 2), (1, 1, 1)])
@@ -608,6 +615,21 @@ class TestSubstitute:
         support = Support.of((1, 2), 4, [(4, 0)])
         with pytest.raises(ValueError, match="variable count"):
             substitute(support, 1, Monomial((2, 0, 0)))
+
+    def test_row_bound_checked_before_any_row_is_built(self):
+        # z_1^a and z_0^(2a-2) z_1 expand into a + 1 rows; at a = 100,000,001
+        # that is about 26 GB
+        support = large_substitution_support(100_000_001)
+        with pytest.raises(ValueError, match="would add up to 100000002 rows, more than 10000"):
+            substitute(support, 1, Monomial((2, 0, 0, 0)))
+        with pytest.raises(ValueError, match="would add up to 100000002 rows"):
+            plan_cover_for_support(support)
+
+    def test_row_bound_admits_its_limit(self):
+        a = monomial.MAX_SUBSTITUTION_ROWS - 1  # a + 1 expansions, exactly the bound
+        result = substitute(large_substitution_support(a), 1, Monomial((2, 0, 0, 0)))
+        # two expansions repeat rows already there: z_0^(2a-2) z_1 and z_0^(2a)
+        assert len(result.monomials) == 4 + a - 1
 
     def test_degree_preserved_on_random_supports(self):
         rng = random.Random(8145)

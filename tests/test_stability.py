@@ -308,6 +308,22 @@ class TestClassify:
             "kahler_einstein",
         ]
 
+    def test_conic_is_not_k_stable(self):
+        # 1,1,1:2 is the conic, P^1: alpha = 1/2 = dim/(dim+1), but equality
+        # gives K-stability only from dimension 2 on, and P^1 has infinite
+        # automorphisms; the Fermat margin says K-polystable and no more
+        ws = WeightSystem((1, 1, 1), 2)
+        for member, verdict in ((MEMBER_FERMAT, Verdict.K_POLYSTABLE), (MEMBER_ANY, Verdict.UNKNOWN)):
+            report = classify(ws, member)
+            assert report.verdict is verdict, member
+            entries = {e.criterion: e for e in report.trace}
+            assert "kahler_einstein" not in entries
+            boundary = entries["alpha_boundary_smooth"]
+            assert boundary.verdict is None
+            assert "dimension is 1; criterion silent" in boundary.conclusion
+            for entry in report.trace:
+                assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
+
     def test_boundary_parity_odd(self):
         report = classify(WeightSystem((1, 1, 2, 3), 6), MEMBER_ANY)
         assert report.verdict is Verdict.K_STABLE
@@ -463,8 +479,10 @@ class TestTraceRecompute:
 
     def test_unregistered_criterion(self):
         entry = TraceEntry("made_up", "", {}, "", None)
-        with pytest.raises(KeyError, match="made_up"):
+        with pytest.raises(KeyError, match="unregistered criterion 'made_up'"):
             recompute_entry(entry)
+        with pytest.raises(KeyError, match="unregistered criterion 'made_up'"):
+            make_entry("made_up", {})
 
     def test_registry_contents(self):
         assert registered_criteria() == (
@@ -516,18 +534,18 @@ class TestHypothesisWork:
     def test_classify_checks_each_fourfold_once(self, fourfold_catalog, monkeypatch):
         # the classify4 benchmark traffic: per system, the standing check and
         # well-formedness test of classify, then the index-one check of the
-        # alpha bound; the only builds are the witness systems of the 8 failed plans
+        # alpha bound; the 8 failed plans build their witnesses without a system
         counts = _count_hypothesis_work(monkeypatch)
         for ws in fourfold_catalog.systems:
             classify(ws)
-        assert counts == {"precondition_errors": 2 * 661, "well_formed": 2 * 661, "builds": 8}
+        assert counts == Counter(precondition_errors=2 * 661, well_formed=2 * 661, builds=0)
 
     def test_recompute_builds_one_system_per_entry(self, fourfold_catalog, monkeypatch):
         # the verify4 benchmark traffic: Fermat traces, then every entry recomputed
         reports = [classify(ws, MEMBER_FERMAT) for ws in fourfold_catalog.systems]
         entries = [e for report in reports for e in report.trace]
         recorded = sum("weights" in e.inputs and "degree" in e.inputs for e in entries)
-        # a failed universal plan builds its witness system once more
+        # a failed universal plan builds no system for its witness
         failed = sum(e.criterion == "smooth_cover" and not e.payload.ok for e in entries)
         counts = _count_hypothesis_work(monkeypatch)
         for entry in entries:
@@ -535,7 +553,7 @@ class TestHypothesisWork:
         assert (recorded, failed) == (2636, 8)
         # one standing check per recorded system, one index-one check per alpha entry
         assert counts == {
-            "builds": recorded + failed,
+            "builds": recorded,
             "precondition_errors": recorded + 661,
             "well_formed": 661,
         }
