@@ -213,10 +213,6 @@ class InequalityCheck:
     def ok(self) -> bool:
         return self.lhs <= self.rhs
 
-    @property
-    def equality(self) -> bool:
-        return self.lhs == self.rhs
-
 
 @dataclass(frozen=True)
 class InequalityReport:

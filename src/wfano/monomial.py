@@ -38,6 +38,9 @@ UNIVERSAL_STEP_CACHE_SIZE = 256
 # rows one substitution may add: one per power of M it expands, before
 # duplicates collapse; the shipped and catalog supports expand at most 47
 MAX_SUBSTITUTION_ROWS = 10_000
+# variables without a pure power whose subsets the quasi-smoothness check may
+# try; every Fermat support and both shipped supports have none
+MAX_UNPOWERED_VARIABLES = 12
 
 
 class SupportError(ValueError):
@@ -147,6 +150,47 @@ def fermat_support(ws: WeightSystem) -> Support:
         exps[i] = b
         rows.append(exps)
     return Support.of(ws.weights, ws.degree, rows)
+
+
+def quasi_smooth_failure(support: Support) -> tuple[int, ...] | None:
+    """First variable set I at which the member with generic coefficients on
+    support fails to be quasi-smooth, or None when it is quasi-smooth.
+
+    The criterion: for every nonempty I, either some monomial uses only
+    variables in I, or at least |I| distinct positions e outside I each carry
+    a monomial x_I^M * x_e (exponent 1 at e, every other variable in I).  A
+    variable with a pure power meets the first clause for every I that holds
+    it, so only subsets of the variables without one are tried, size by size,
+    each size in lexicographic order.  ValueError, before any subset is tried,
+    when more than MAX_UNPOWERED_VARIABLES variables have no pure power.
+    """
+    rows = _rows(support)
+    masks = [sum(1 << j for j, k in enumerate(row) if k) for row in rows]
+    powered = {m for m in masks if m & (m - 1) == 0}  # one variable: a pure power
+    unpowered = [j for j in range(len(support.weights)) if 1 << j not in powered]
+    if len(unpowered) > MAX_UNPOWERED_VARIABLES:
+        raise ValueError(
+            f"quasi-smoothness: {len(unpowered)} variables have no pure power, more than "
+            f"{MAX_UNPOWERED_VARIABLES}; not decided"
+        )
+    outside = ~sum(1 << j for j in unpowered)
+    # rows that can lie inside some tried I, and (rest, e) for each x_rest^M * x_e
+    inside = {m for m in masks if not m & outside}
+    linear = {
+        (m & ~(1 << e), e)
+        for row, m in zip(rows, masks)
+        for e, k in enumerate(row)
+        if k == 1 and not m & ~(1 << e) & outside
+    }
+    for size in range(1, len(unpowered) + 1):
+        for subset in combinations(unpowered, size):
+            held = sum(1 << j for j in subset)
+            if any(not m & ~held for m in inside):
+                continue
+            # no row lies inside I, so each e found here is outside I
+            if len({e for rest, e in linear if not rest & ~held}) < size:
+                return subset
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """K-stability verdicts assembled from recomputable criterion traces.
 
-Every sufficient criterion used by classify() is registered under a short
-machine name together with a citation tag naming the underlying result.  The
-trace is built exclusively through the registry, so each recorded conclusion
-can be recomputed later from the recorded inputs alone, and the final verdict
-is the join of the per-entry claims, never stronger.
+Every sufficient criterion used by classify() has a short machine name and a
+citation tag naming the underlying result, in one closed table.  The trace is
+built exclusively through that table, so each recorded conclusion can be
+recomputed later from the recorded inputs alone, and the final verdict is the
+join of the per-entry claims, never stronger.
 
-All outputs are one-sided: "unknown" means no registered criterion applied,
+All outputs are one-sided: "unknown" means no criterion applied,
 never that the member is unstable, and alpha values are lower bounds.  The
 only two-sided statement is the Fermat margin criterion, which does decide
 instability for negative margins.
@@ -29,7 +29,13 @@ from .core import (
     star_case,
 )
 from .enumeration import EnumerationResult
-from .monomial import CoverPlan, Support, plan_cover_for_support, plan_cover_universal
+from .monomial import (
+    CoverPlan,
+    Support,
+    plan_cover_for_support,
+    plan_cover_universal,
+    quasi_smooth_failure,
+)
 
 MEMBER_FERMAT = "fermat"
 MEMBER_GENERAL = "general"
@@ -49,13 +55,6 @@ class Verdict(enum.Enum):
     K_SEMISTABLE = "k_semistable"
     K_UNSTABLE = "k_unstable"
     UNKNOWN = "unknown"
-
-    def implies(self, other: "Verdict") -> bool:
-        if self is other:
-            return True
-        if self is Verdict.K_UNSTABLE or other is Verdict.K_UNSTABLE:
-            return False
-        return _CHAIN.index(self) >= _CHAIN.index(other)
 
 
 _CHAIN = (Verdict.UNKNOWN, Verdict.K_SEMISTABLE, Verdict.K_POLYSTABLE, Verdict.K_STABLE)
@@ -84,6 +83,7 @@ ALPHA_ALL_GE2 = "all_weights_ge2"
 ALPHA_GENERIC = "generic"
 
 COVER_ASSUMPTION = "smooth cover exists for a general member"
+SUPPORT_COVER_ASSUMPTION = "smooth cover exists for the given member"
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,15 @@ def aut_finite(weights: Sequence[int], multidegree: Sequence[int]) -> bool:
     """
     ws = tuple(weights)
     degrees = tuple(multidegree)
-    if not ws or any(a < 1 for a in ws):
-        raise ValueError("weights must be positive")
+    # type, not isinstance: a bool is an int but no weight or degree
+    if not ws or any(type(a) is not int or a < 1 for a in ws):
+        raise ValueError(f"weights must be positive integers, got {ws!r}")
     if any(ws[k] > ws[k + 1] for k in range(len(ws) - 1)):
         raise ValueError("weights must be ascending")
-    if not degrees or any(d < 1 for d in degrees):
-        raise ValueError("multidegree must be a non-empty list of positive degrees")
+    if not degrees or any(type(d) is not int or d < 1 for d in degrees):
+        raise ValueError(
+            f"multidegree must be a non-empty list of positive integers, got {degrees!r}"
+        )
     if any(d in ws for d in degrees):
         raise ValueError("linear cone: a degree equals one of the weights")
     n = len(ws) - 1
@@ -177,7 +180,7 @@ def _fermat_stability(ws: WeightSystem, finite: bool) -> FermatStability:
 
 
 # ---------------------------------------------------------------------------
-# criterion registry
+# criteria
 
 
 @dataclass(frozen=True)
@@ -202,15 +205,23 @@ class TraceEntry:
 # to (conclusion, verdict, payload)
 Evaluator = Callable[[WeightSystem | None, dict], tuple[str, Verdict | None, Any]]
 
-_CRITERIA: dict[str, tuple[str, Evaluator]] = {}  # name -> (cite, evaluator)
+
+def _recorded(inputs: dict, key: str, kind: type) -> Any:
+    """inputs[key], which must be exactly of type kind: a bool is no int, 1 no bool."""
+    value = inputs[key]
+    if type(value) is not kind:
+        raise ValueError(f"recorded {key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
-def register_criterion(name: str, cite: str) -> Callable[[Evaluator], Evaluator]:
-    def wrap(fn: Evaluator) -> Evaluator:
-        _CRITERIA[name] = (cite, fn)
-        return fn
-
-    return wrap
+def _require_quasi_smooth(support: Support) -> None:
+    failing = quasi_smooth_failure(support)
+    if failing is not None:
+        raise ValueError(
+            f"the given member is not quasi-smooth at the variables {list(failing)}: no "
+            f"monomial uses only them, and fewer than {len(failing)} others each appear "
+            "to the first power in a monomial whose other variables are among them"
+        )
 
 
 def registered_criteria() -> tuple[str, ...]:
@@ -248,10 +259,6 @@ CRIT_BOUNDARY_PARITY = "alpha_boundary_star_parity"
 CRIT_KE = "kahler_einstein"
 
 
-@register_criterion(
-    CRIT_INDEX_VS_DIM,
-    "a general member is K-stable when the Fano index is smaller than the dimension",
-)
 def _eval_index_vs_dimension(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
     if ws.index < ws.dim:
         return (
@@ -267,11 +274,6 @@ def _eval_index_vs_dimension(ws: WeightSystem, inputs: dict) -> tuple[str, Verdi
     )
 
 
-@register_criterion(
-    CRIT_AUT,
-    "the automorphism group is finite when the degree sum exceeds the sum of the "
-    "largest c+1 weights, or when 0 < index < n - c",
-)
 def _eval_aut_finiteness(ws: None, inputs: dict) -> tuple[str, Verdict | None, bool]:
     weights = tuple(inputs["weights"])
     degrees = tuple(inputs["multidegree"])
@@ -289,14 +291,8 @@ def _eval_aut_finiteness(ws: None, inputs: dict) -> tuple[str, Verdict | None, b
     return (f"automorphism group is finite: {reason}", None, finite)
 
 
-@register_criterion(
-    CRIT_FERMAT,
-    "the Fermat member is K-polystable exactly when the Fano index is below n times "
-    "the smallest weight, strictly K-semistable at equality, K-unstable beyond; "
-    "K-polystable plus a finite automorphism group gives K-stable",
-)
 def _eval_fermat_margin(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
-    result = _fermat_stability(ws, inputs["aut_finite"])
+    result = _fermat_stability(ws, _recorded(inputs, "aut_finite", bool))
     finiteness = "finite" if result.aut_finite else "not decided"
     return (
         f"margin n*a_0 - I = {ws.n}*{ws.weights[0]} - {ws.index} = {result.margin}; "
@@ -306,17 +302,13 @@ def _eval_fermat_margin(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | 
     )
 
 
-@register_criterion(
-    CRIT_COVER,
-    "iterated cyclic covers over the recorded coordinates produce a smooth finite "
-    "cover of a quasi-smooth member",
-)
 def _eval_smooth_cover(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, CoverPlan]:
     if inputs["mode"] == "universal":
         plan = plan_cover_universal(ws)
         scope = "every quasi-smooth member"
     else:
         support = Support.of(inputs["weights"], inputs["degree"], inputs["monomials"])
+        _require_quasi_smooth(support)
         plan = plan_cover_for_support(support)
         scope = "the given member"
     if plan.ok:
@@ -335,18 +327,14 @@ def _eval_smooth_cover(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | N
     )
 
 
-@register_criterion(
-    CRIT_ALPHA,
-    "members carrying a smooth cover have alpha at least (d-2)/d in the "
-    "double-weight case, (d-1)/d otherwise, and at least 1 when every weight "
-    "is at least 2",
-)
 def _eval_alpha_bound(
     ws: WeightSystem, inputs: dict
 ) -> tuple[str, Verdict | None, AlphaBound | None]:
-    bound = alpha_lower_bound(ws, inputs["cover_available"])
+    bound = alpha_lower_bound(ws, _recorded(inputs, "cover_available", bool))
     if bound is None:
         return ("alpha bound unavailable without a smooth cover", None, None)
+    if inputs["cover_mode"] == "support":
+        bound = AlphaBound(bound.value, bound.case_tag, (SUPPORT_COVER_ASSUMPTION,))
     return (
         f"alpha >= {bound.value} (case {bound.case_tag}; assuming: "
         + "; ".join(bound.assumptions)
@@ -356,12 +344,8 @@ def _eval_alpha_bound(
     )
 
 
-@register_criterion(
-    CRIT_ALPHA_THRESHOLD,
-    "a Fano variety whose alpha invariant exceeds dim/(dim+1) is K-stable",
-)
 def _eval_alpha_above_threshold(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
-    bound = Fraction(inputs["alpha"]["num"], inputs["alpha"]["den"])
+    bound = Fraction(_recorded(inputs["alpha"], "num", int), _recorded(inputs["alpha"], "den", int))
     threshold = Fraction(ws.dim, ws.dim + 1)
     if bound > threshold:
         return (
@@ -376,10 +360,6 @@ def _eval_alpha_above_threshold(ws: WeightSystem, inputs: dict) -> tuple[str, Ve
     )
 
 
-@register_criterion(
-    CRIT_BOUNDARY_SMOOTH,
-    "a smooth Fano variety with alpha invariant equal to dim/(dim+1) is K-stable",
-)
 def _eval_alpha_boundary_smooth(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
     if boundary_shape(ws) != SHAPE_ALL_ONES:
         return ("not the all-ones boundary shape; criterion silent", None, None)
@@ -402,12 +382,6 @@ def _eval_alpha_boundary_smooth(ws: WeightSystem, inputs: dict) -> tuple[str, Ve
     )
 
 
-@register_criterion(
-    CRIT_BOUNDARY_PARITY,
-    "boundary shape (1,...,1,2,a : 2a): for odd a the member is smooth, for even a "
-    "it has only half-point quotient singularities, which are not weakly "
-    "exceptional; K-stable either way",
-)
 def _eval_alpha_boundary_star_parity(
     ws: WeightSystem, inputs: dict
 ) -> tuple[str, Verdict | None, None]:
@@ -435,12 +409,54 @@ def _eval_alpha_boundary_star_parity(
     )
 
 
-@register_criterion(
-    CRIT_KE,
-    "a K-stable Fano variety admits a Kahler-Einstein metric",
-)
 def _eval_kahler_einstein(ws: None, inputs: dict) -> tuple[str, Verdict | None, None]:
     return ("the member admits a Kahler-Einstein metric", None, None)
+
+
+# the closed criterion table: name -> (cite, evaluator); nothing writes to it
+_CRITERIA: dict[str, tuple[str, Evaluator]] = {
+    CRIT_INDEX_VS_DIM: (
+        "a general member is K-stable when the Fano index is smaller than the dimension",
+        _eval_index_vs_dimension,
+    ),
+    CRIT_AUT: (
+        "the automorphism group is finite when the degree sum exceeds the sum of the "
+        "largest c+1 weights, or when 0 < index < n - c",
+        _eval_aut_finiteness,
+    ),
+    CRIT_FERMAT: (
+        "the Fermat member is K-polystable exactly when the Fano index is below n times "
+        "the smallest weight, strictly K-semistable at equality, K-unstable beyond; "
+        "K-polystable plus a finite automorphism group gives K-stable",
+        _eval_fermat_margin,
+    ),
+    CRIT_COVER: (
+        "iterated cyclic covers over the recorded coordinates produce a smooth finite "
+        "cover of a quasi-smooth member",
+        _eval_smooth_cover,
+    ),
+    CRIT_ALPHA: (
+        "members carrying a smooth cover have alpha at least (d-2)/d in the "
+        "double-weight case, (d-1)/d otherwise, and at least 1 when every weight "
+        "is at least 2",
+        _eval_alpha_bound,
+    ),
+    CRIT_ALPHA_THRESHOLD: (
+        "a Fano variety whose alpha invariant exceeds dim/(dim+1) is K-stable",
+        _eval_alpha_above_threshold,
+    ),
+    CRIT_BOUNDARY_SMOOTH: (
+        "a smooth Fano variety with alpha invariant equal to dim/(dim+1) is K-stable",
+        _eval_alpha_boundary_smooth,
+    ),
+    CRIT_BOUNDARY_PARITY: (
+        "boundary shape (1,...,1,2,a : 2a): for odd a the member is smooth, for even a "
+        "it has only half-point quotient singularities, which are not weakly "
+        "exceptional; K-stable either way",
+        _eval_alpha_boundary_star_parity,
+    ),
+    CRIT_KE: ("a K-stable Fano variety admits a Kahler-Einstein metric", _eval_kahler_einstein),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +489,10 @@ def classify(
     if member_class not in MEMBER_CLASSES:
         raise ValueError(f"unknown member class {member_class!r}")
     require_preconditions(ws, "cannot classify")
-    if support is not None and support.system != ws:
-        raise ValueError("support ambient does not match the weight system")
+    if support is not None:
+        if support.system != ws:
+            raise ValueError("support ambient does not match the weight system")
+        _require_quasi_smooth(support)
 
     # ws now meets the standing hypotheses, so each entry recorded on it takes
     # it as its checked system
@@ -497,8 +515,9 @@ def classify(
         entries.append(make_entry(CRIT_COVER, dict(base, mode="universal"), ws))
         if not entries[-1].payload.ok and support is not None:
             entries.append(make_entry(CRIT_COVER, dict(support.to_json(), mode="support"), ws))
-        covered = entries[-1].payload.ok
-        entries.append(make_entry(CRIT_ALPHA, dict(base, cover_available=covered), ws))
+        cover = entries[-1]
+        inputs = dict(base, cover_available=cover.payload.ok, cover_mode=cover.inputs["mode"])
+        entries.append(make_entry(CRIT_ALPHA, inputs, ws))
         alpha = entries[-1].payload
         if alpha is not None:
             if alpha.value > Fraction(ws.dim, ws.dim + 1):

@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -159,6 +160,14 @@ class TestAnalyze:
         assert "every quasi-smooth member" in cover[0]["conclusion"]
         assert "the given member" in cover[1]["conclusion"]
 
+    def test_support_not_quasi_smooth(self, runner, tmp_path):
+        path = tmp_path / "z0.json"
+        rows = [[20, 0, 0, 0, 0, 0]]
+        path.write_text(json.dumps({"weights": [3, 4, 4, 5, 15, 30], "degree": 60, "monomials": rows}))
+        result = runner.invoke(cli, ["analyze", "3,4,4,5,15,30:60", "--support", str(path)])
+        assert result.exit_code == 2
+        assert "error: the given member is not quasi-smooth at the variables [1]" in result.output
+
     def test_support_parse_error(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops", encoding="utf-8")
@@ -310,6 +319,17 @@ class TestCoverPlan:
             "over weights (3, 4, 5, 4, 15, 30)",
         ]
 
+    def test_support_substitution(self, runner, tmp_path):
+        path = tmp_path / "sub.json"
+        path.write_text('{"weights": [1, 2], "degree": 4, "monomials": [[4, 0], [2, 1], [0, 2]]}')
+        result = runner.invoke(cli, ["cover-plan", "1,2:4", "--support", str(path)])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "step 1: substitute at position 1 with (2, 0)",
+            "step 2: cover at position 1",
+            "plan: success, final weights (1, 1)",
+        ]
+
     def test_support_substitution_too_large(self, runner, tmp_path):
         # the planner substitutes z_1 -> z_1 + z_0^2 into z_1^a: a + 1 rows
         a = 100_000_001
@@ -357,6 +377,19 @@ class TestVerifyLemmas:
         result = runner.invoke(cli, ["verify-lemmas", "--dims", ""])
         assert result.exit_code == 5
         assert "gap up to 30: 47 at (3, 4, 5)" in result.output
+
+    def test_violation_is_condition_not_met(self, runner, monkeypatch):
+        monkeypatch.setattr(cli_module, "check_lemma_ineq", lambda system: SimpleNamespace(passed=False))
+        result = runner.invoke(cli, ["verify-lemmas", "--dims", "2"])
+        assert result.exit_code == 5
+        assert result.output.splitlines() == [
+            "violation: 1,1,1,1:3",
+            "violation: 1,1,1,2:4",
+            "violation: 1,1,2,3:6",
+            "violation: 3,3,5,5:15",
+            "dims 2: 4 systems checked, 4 violations",
+            "minimal non-representable triple gap up to 30: 48 at (3, 4, 5)",
+        ]
 
     def test_bad_dims_is_validation_error(self, runner):
         result = runner.invoke(cli, ["verify-lemmas", "--dims", "x"])

@@ -227,7 +227,7 @@ class TestLemmaInequality:
         # the star pair (2, a) always meets its inequality with equality
         star_checks = [c for c in report.checks if c.rule == "star_pair"]
         assert star_checks
-        assert all(c.equality for c in star_checks)
+        assert all(c.lhs == c.rhs for c in star_checks)
         assert report.c_value == Fraction(4, 5)
         assert report.c_lower_bound == Fraction(3, 4)
         assert report.passed

@@ -28,6 +28,7 @@ from wfano import (
     load_support,
     plan_cover_for_support,
     plan_cover_universal,
+    quasi_smooth_failure,
     save_support,
     star_condition,
     star_condition_at,
@@ -287,6 +288,44 @@ def shuffled_supports(draw):
     return Support.of(weights, degree, draw(st.lists(st.sampled_from(rows), min_size=1, max_size=10)))
 
 
+def naive_quasi_smooth_failure(support):
+    """The generic quasi-smoothness criterion tried on every nonempty variable
+    set, size by size, each size in lexicographic order."""
+    rows = [m.exponents for m in support.monomials]
+    n = len(support.weights)
+    for size in range(1, n + 1):
+        for held in combinations(range(n), size):
+            if any(all(j in held for j, k in enumerate(row) if k) for row in rows):
+                continue
+            linear = {
+                e
+                for row in rows
+                for e, k in enumerate(row)
+                if k == 1 and e not in held
+                and all(j in held for j, kj in enumerate(row) if kj and j != e)
+            }
+            if len(linear) < size:
+                return held
+    return None
+
+
+def random_small_support(rng):
+    """A support over 2 to 4 variables of weight at most 4 and degree at most
+    8, not a linear cone, holding each pure power with probability 3/4."""
+    while True:
+        weights = tuple(sorted(rng.randint(1, 4) for _ in range(rng.randint(2, 4))))
+        degree = rng.randint(2, 8)
+        if degree in weights:
+            continue
+        rows = all_monomials(weights, degree)
+        pure = [row for row in rows if sum(1 for k in row if k) == 1]
+        mixed = [row for row in rows if row not in pure]
+        picked = [row for row in pure if rng.random() < 0.75]
+        picked += rng.sample(mixed, min(len(mixed), rng.randint(0, 4)))
+        if picked:
+            return Support.of(weights, degree, picked)
+
+
 @pytest.fixture(scope="module")
 def x60():
     return load_support(X60)
@@ -441,6 +480,64 @@ class TestStarCondition:
             WeightSystem((2, 4, 5, 5, 5), 20),
         ):
             assert star_condition(fermat_support(ws)).ok
+
+
+class TestQuasiSmooth:
+    def test_a_pure_power_in_one_variable_fails(self):
+        # z_0^20 = 0 on 3,4,4,5,15,30:60: no monomial in z_1 alone, nor z_e * z_1^m
+        support = Support.of((3, 4, 4, 5, 15, 30), 60, [[20, 0, 0, 0, 0, 0]])
+        assert quasi_smooth_failure(support) == (1,)
+
+    def test_shipped_and_fermat_supports_pass(self, x60, x60_dim50):
+        for support in (x60, x60_dim50, fermat_support(WeightSystem((1, 1, 2, 3), 6))):
+            assert quasi_smooth_failure(support) is None
+
+    def test_linear_clause(self):
+        # x*y + z^2 over 1,1,1:2: no row lies in {x} alone, but y appears to the
+        # first power times x; likewise for {y}; x*y lies in {x, y}
+        support = Support.of((1, 1, 1), 2, [[1, 1, 0], [0, 0, 2]])
+        assert quasi_smooth_failure(support) is None
+        # x*y alone: {z} has no row inside and no z_e * z^m row
+        assert quasi_smooth_failure(Support.of((1, 1, 1), 2, [[1, 1, 0]])) == (2,)
+
+    @settings(max_examples=300)
+    @given(shuffled_supports())
+    def test_pure_power_shortcut_matches_every_subset(self, support):
+        assert quasi_smooth_failure(support) == naive_quasi_smooth_failure(support)
+
+    def test_too_many_unpowered_variables_is_not_decided(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("a subset was enumerated")
+
+        monkeypatch.setattr(monomial, "combinations", no_enumeration)
+        n = monomial.MAX_UNPOWERED_VARIABLES + 1
+        support = Support.of((1,) * n, 2, [[1, 1] + [0] * (n - 2)])
+        with pytest.raises(ValueError, match=f"{n} variables have no pure power.*not decided"):
+            quasi_smooth_failure(support)
+
+    def test_agrees_with_the_jacobian_ideal(self):
+        # quasi-smooth iff the cone over the member is smooth off the origin:
+        # every variable has a power in the ideal of f and its partials, so
+        # some leading monomial of its Groebner basis is a power of it
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20211)
+        seen = Counter()
+        for _ in range(60):
+            support = random_small_support(rng)
+            xs = sympy.symbols(f"x0:{len(support.weights)}")
+            f = sum(
+                rng.randint(1, 97) * prod(x**k for x, k in zip(xs, m.exponents))
+                for m in support.monomials
+            )
+            basis = sympy.groebner([f, *(f.diff(x) for x in xs)], *xs, order="grevlex")
+            leads = [p.monoms(order="grevlex")[0] for p in basis.polys]
+            smooth = all(
+                any(all(k == 0 for j, k in enumerate(lead) if j != i) for lead in leads)
+                for i in range(len(xs))
+            )
+            assert (quasi_smooth_failure(support) is None) is smooth, support
+            seen[smooth] += 1
+        assert seen[True] >= 10 and seen[False] >= 10, seen
 
 
 class TestUniversalStar:

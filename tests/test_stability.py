@@ -38,6 +38,7 @@ from wfano import (
     classify,
     enumerate_systems,
     fermat_k_stability,
+    fermat_support,
     join_verdicts,
     load_support,
     plan_cover_universal,
@@ -47,7 +48,7 @@ from wfano import (
     summary_to_json,
     threshold_c,
 )
-from wfano.stability import make_entry
+from wfano.stability import SUPPORT_COVER_ASSUMPTION, make_entry
 
 from conftest import FIXTURES
 
@@ -55,23 +56,6 @@ X60_SYSTEM = WeightSystem((3, 4, 4, 5, 15, 30), 60)
 
 
 class TestVerdictLattice:
-    def test_chain_implications(self):
-        assert Verdict.K_STABLE.implies(Verdict.K_POLYSTABLE)
-        assert Verdict.K_STABLE.implies(Verdict.K_SEMISTABLE)
-        assert Verdict.K_POLYSTABLE.implies(Verdict.K_SEMISTABLE)
-        assert not Verdict.K_SEMISTABLE.implies(Verdict.K_POLYSTABLE)
-        assert not Verdict.UNKNOWN.implies(Verdict.K_SEMISTABLE)
-        assert Verdict.K_SEMISTABLE.implies(Verdict.UNKNOWN)
-
-    def test_reflexive(self):
-        for v in Verdict:
-            assert v.implies(v)
-
-    def test_instability_outside_chain(self):
-        assert not Verdict.K_UNSTABLE.implies(Verdict.UNKNOWN)
-        assert not Verdict.K_STABLE.implies(Verdict.K_UNSTABLE)
-        assert not Verdict.UNKNOWN.implies(Verdict.K_UNSTABLE)
-
     def test_join(self):
         assert join_verdicts([]) is Verdict.UNKNOWN
         assert join_verdicts([None, None]) is Verdict.UNKNOWN
@@ -369,6 +353,27 @@ class TestClassify:
         assert [e.inputs["mode"] for e in cover_entries] == ["universal", "support"]
         assert "the given member" in cover_entries[1].conclusion
 
+    def test_support_must_be_quasi_smooth(self):
+        # z_0^20 = 0 is not even reduced; its support plan would find 6 covers
+        support = Support.of(X60_SYSTEM.weights, 60, [[20, 0, 0, 0, 0, 0]])
+        with pytest.raises(ValueError, match=r"not quasi-smooth at the variables \[1\]"):
+            classify(X60_SYSTEM, MEMBER_ANY, support=support)
+        entry = TraceEntry("smooth_cover", "", dict(support.to_json(), mode="support"), "")
+        with pytest.raises(ValueError, match="not quasi-smooth"):
+            recompute_entry(entry)
+
+    def test_support_cover_is_assumed_for_the_given_member(self):
+        # the Fermat support plan succeeds where the universal plan fails
+        report = classify(X60_SYSTEM, MEMBER_ANY, support=fermat_support(X60_SYSTEM))
+        assert report.verdict is Verdict.K_STABLE
+        assert report.alpha.assumptions == (SUPPORT_COVER_ASSUMPTION,)
+        alpha = next(e for e in report.trace if e.criterion == "alpha_bound")
+        assert alpha.conclusion == (
+            "alpha >= 1 (case all_weights_ge2; assuming: smooth cover exists for the given member)"
+        )
+        for entry in report.trace:
+            assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
+
     def test_support_ambient_must_match(self):
         support = load_support(FIXTURES / "x60_p3454_15_30.json")
         with pytest.raises(ValueError, match="does not match"):
@@ -407,6 +412,11 @@ WEIGHT_ENTRIES = [
     pytest.param("alpha_boundary_smooth", {}, id="alpha_boundary_smooth"),
     pytest.param("alpha_boundary_star_parity", {}, id="alpha_boundary_star_parity"),
 ]
+
+
+def _recompute_on_sextic(criterion: str, **inputs):
+    """Recompute an entry of criterion recorded on 1,1,2,3:6 with the given inputs."""
+    return recompute_entry(TraceEntry(criterion, "", dict(inputs, weights=[1, 1, 2, 3], degree=6), ""))
 
 
 class TestTraceRecompute:
@@ -476,6 +486,75 @@ class TestTraceRecompute:
             for entry in report.trace:
                 assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
         assert thresholds == 651  # 653 covered, less the two boundary shapes
+
+    @pytest.mark.parametrize(
+        "criterion, weights, degree, extra, conclusion",
+        [
+            pytest.param(
+                "alpha_above_threshold",
+                (1, 1, 2, 3),
+                6,
+                {"alpha": {"num": 2, "den": 3, "case": ALPHA_GENERIC}},
+                "alpha bound 2/3 does not exceed dim/(dim+1) = 2/3; criterion silent",
+                id="alpha_above_threshold",
+            ),
+            pytest.param(
+                "alpha_boundary_smooth",
+                (1, 1, 2, 3),
+                6,
+                {},
+                "not the all-ones boundary shape; criterion silent",
+                id="alpha_boundary_smooth",
+            ),
+            pytest.param(
+                "alpha_boundary_star_parity",
+                (1, 1, 1, 1),
+                3,
+                {},
+                "not the double-weight boundary shape with all other weights 1; criterion silent",
+                id="alpha_boundary_star_parity",
+            ),
+        ],
+    )
+    def test_silent_branches(self, criterion, weights, degree, extra, conclusion):
+        entry = make_entry(criterion, dict(extra, weights=list(weights), degree=degree))
+        assert (entry.conclusion, entry.verdict) == (conclusion, None)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: aut_finite((True, 2, 3), (7,)), id="aut_finite_bool_weight"),
+            pytest.param(lambda: aut_finite((1.5, 2, 3), (7.0,)), id="aut_finite_float_weight"),
+            pytest.param(lambda: aut_finite((1, 2, 3), (7.0,)), id="aut_finite_float_degree"),
+            pytest.param(
+                lambda: _recompute_on_sextic("fermat_margin", aut_finite="no"), id="fermat_flag_str"
+            ),
+            pytest.param(
+                lambda: _recompute_on_sextic("fermat_margin", aut_finite=1), id="fermat_flag_int"
+            ),
+            pytest.param(
+                lambda: _recompute_on_sextic(
+                    "alpha_bound", cover_available="no", cover_mode="universal"
+                ),
+                id="cover_flag_str",
+            ),
+            pytest.param(
+                lambda: _recompute_on_sextic(
+                    "alpha_above_threshold", alpha={"num": True, "den": 1, "case": ALPHA_STAR}
+                ),
+                id="alpha_bool_numerator",
+            ),
+            pytest.param(
+                lambda: _recompute_on_sextic(
+                    "alpha_above_threshold", alpha={"num": 5, "den": 6.0, "case": ALPHA_STAR}
+                ),
+                id="alpha_float_denominator",
+            ),
+        ],
+    )
+    def test_trace_inputs_have_exact_types(self, call):
+        with pytest.raises(ValueError, match="integers, got|must be bool, got|must be int, got"):
+            call()
 
     def test_unregistered_criterion(self):
         entry = TraceEntry("made_up", "", {}, "", None)
