@@ -23,6 +23,7 @@ from .monomial import (
     load_support,
     plan_cover_for_support,
     plan_cover_universal,
+    require_member,
     star_condition,
     star_condition_at,
 )
@@ -37,7 +38,6 @@ from .stability import (
     report_to_json,
 )
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNKNOWN = 3
 EXIT_IO = 4
@@ -76,13 +76,6 @@ def _run(fn):
     return inner
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        click.echo(text)
-    else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-
-
 @click.group()
 def cli() -> None:
     """Enumerate and classify Fano weighted hypersurfaces with divisible weights."""
@@ -98,8 +91,11 @@ def cli() -> None:
 def enumerate_cmd(dim: int, index: int, dmax: int | None, fmt: str, out: str | None) -> None:
     """List all systems of the given dimension and index."""
     query = EnumerationQuery(num_weights=dim + 2, index=index, d_max=dmax)
-    result = enumerate_systems(query)
-    _emit(render_table(result, format=fmt), out)
+    text = render_table(enumerate_systems(query), format=fmt)
+    if out is None:
+        click.echo(text)
+    else:
+        Path(out).write_text(text + "\n", encoding="utf-8")
 
 
 @cli.command()
@@ -197,8 +193,7 @@ def cover_plan(ws: str, support_path: str | None, universal: bool) -> None:
         raise ValueError("--support and --universal are mutually exclusive")
     if support_path:
         support = load_support(support_path)
-        if support.system != system:
-            raise ValueError("support ambient does not match the weight system")
+        require_member(support, system)
         plan = plan_cover_for_support(support)
     else:
         plan = plan_cover_universal(system)

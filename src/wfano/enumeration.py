@@ -217,20 +217,11 @@ def render_table(result: EnumerationResult, format: str = "md") -> str:
     raise ValueError(f"unknown format {format!r}; expected md, tsv, or json")
 
 
-def _query_to_json(query: EnumerationQuery) -> dict:
-    return {
-        "num_weights": query.num_weights,
-        "index": query.index,
-        "d_max": query.d_max,
-        **_CATALOG_FILTERS,
-    }
-
-
 def save_catalog(result: EnumerationResult, path: str | Path) -> None:
     """Write the versioned catalog envelope; load_catalog inverts it exactly."""
     payload = {
         "version": CATALOG_VERSION,
-        "query": _query_to_json(result.query),
+        "query": {**vars(result.query), **_CATALOG_FILTERS},
         "complete": result.complete,
         "systems": [{"weights": list(ws.weights), "degree": ws.degree} for ws in result.systems],
     }

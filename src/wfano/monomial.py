@@ -193,6 +193,21 @@ def quasi_smooth_failure(support: Support) -> tuple[int, ...] | None:
     return None
 
 
+def require_member(support: Support, ws: WeightSystem) -> None:
+    """ValueError unless support lies in the ambient of ws and its member with
+    generic coefficients is quasi-smooth: the only members the cover and
+    alpha criteria cover."""
+    if support.system != ws:
+        raise ValueError("support ambient does not match the weight system")
+    failing = quasi_smooth_failure(support)
+    if failing is not None:
+        raise ValueError(
+            f"the given member is not quasi-smooth at the variables {list(failing)}: no "
+            f"monomial uses only them, and fewer than {len(failing)} others each appear "
+            "to the first power in a monomial whose other variables are among them"
+        )
+
+
 @dataclass(frozen=True)
 class StarCheck:
     """Outcome of a star-condition check; monomial/index are the first violation."""
@@ -202,10 +217,13 @@ class StarCheck:
     index: int | None = None
 
 
-def _weight_at(weights: tuple[int, ...], i: int) -> int:
-    """a_i; ValueError unless 0 <= i < len(weights), so no negative index wraps."""
+def _weight_at(weights: tuple[int, ...], i: int, operation: str | None = None) -> int:
+    """a_i; ValueError unless 0 <= i < len(weights), so no negative index wraps,
+    and, when an operation is named, unless a_i > 1."""
     if not 0 <= i < len(weights):
         raise ValueError(f"position {i} out of range for {len(weights)} variables")
+    if operation is not None and weights[i] <= 1:
+        raise ValueError(f"{operation} at index {i} needs weight > 1, got {weights[i]}")
     return weights[i]
 
 
@@ -248,9 +266,7 @@ def star_condition(support: Support) -> StarCheck:
 
 def star_condition_at(support: Support, i: int) -> StarCheck:
     """The per-index restriction; requires weight a_i > 1."""
-    a_i = _weight_at(support.weights, i)
-    if a_i <= 1:
-        raise ValueError(f"star condition at index {i} needs weight > 1, got {a_i}")
+    _weight_at(support.weights, i, "star condition")
     for mono in support.monomials:
         if mono.exponents[i] == 1 and _violates(support.weights, mono.exponents, i):
             return StarCheck(False, mono, i)
@@ -325,9 +341,7 @@ def universal_star_at(ws: WeightSystem, i: int) -> StarCheck:
     as in the full scan.
     """
     weights = ws.weights
-    a_i = _weight_at(weights, i)
-    if a_i <= 1:
-        raise ValueError(f"universal star check at index {i} needs weight > 1, got {a_i}")
+    a_i = _weight_at(weights, i, "universal star check")
     # sorted, distinct and positive: the internal membership test needs no re-check
     found = _blocking_subset(ws.degree, a_i, tuple(sorted({a for a in weights if a_i % a})))
     if found is None:
@@ -380,9 +394,7 @@ def apply_cover(support: Support, i: int) -> tuple[Support, tuple[int, ...]]:
     The new ambient is re-sorted canonically; the returned permutation maps
     new positions to old ones (perm[new] = old), stable on ties.
     """
-    a_i = _weight_at(support.weights, i)
-    if a_i <= 1:
-        raise ValueError(f"cover at index {i} needs weight > 1, got {a_i}")
+    _weight_at(support.weights, i, "cover")
     weights, rows, perm = _cover_rows(support.weights, _rows(support), i)
     return Support.of(weights, support.degree, rows), perm
 

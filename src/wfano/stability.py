@@ -34,7 +34,7 @@ from .monomial import (
     Support,
     plan_cover_for_support,
     plan_cover_universal,
-    quasi_smooth_failure,
+    require_member,
 )
 
 MEMBER_FERMAT = "fermat"
@@ -201,27 +201,18 @@ class TraceEntry:
 
 
 # an evaluator maps the recorded system, checked against the standing hypotheses
-# (None when the inputs record no weights and degree), and the recorded inputs
-# to (conclusion, verdict, payload)
+# (None for aut_finiteness and kahler_einstein, which record none), and the
+# recorded inputs to (conclusion, verdict, payload)
 Evaluator = Callable[[WeightSystem | None, dict], tuple[str, Verdict | None, Any]]
 
 
-def _recorded(inputs: dict, key: str, kind: type) -> Any:
-    """inputs[key], which must be exactly of type kind: a bool is no int, 1 no bool."""
+def _recorded(inputs: dict, key: str, kind: type, among: tuple[str, ...] = ()) -> Any:
+    """inputs[key], which must be exactly of type kind (a bool is no int, 1 no
+    bool) and, when among is given, one of its values."""
     value = inputs[key]
-    if type(value) is not kind:
-        raise ValueError(f"recorded {key} must be {kind.__name__}, got {value!r}")
+    if type(value) is not kind or among and value not in among:
+        raise ValueError(f"recorded {key} must be {' or '.join(among) or kind.__name__}, got {value!r}")
     return value
-
-
-def _require_quasi_smooth(support: Support) -> None:
-    failing = quasi_smooth_failure(support)
-    if failing is not None:
-        raise ValueError(
-            f"the given member is not quasi-smooth at the variables {list(failing)}: no "
-            f"monomial uses only them, and fewer than {len(failing)} others each appear "
-            "to the first power in a monomial whose other variables are among them"
-        )
 
 
 def registered_criteria() -> tuple[str, ...]:
@@ -231,14 +222,18 @@ def registered_criteria() -> tuple[str, ...]:
 def make_entry(criterion: str, inputs: dict, system: WeightSystem | None = None) -> TraceEntry:
     """Evaluate a criterion on inputs; system is the recorded system, known to
     meet the standing hypotheses, or None to build it from the recorded weights
-    and degree, if any, and check it (ValueError when it fails them)."""
+    and degree and check it.  ValueError when the system fails them or the
+    record is malformed."""
     if criterion not in _CRITERIA:
         raise KeyError(f"unregistered criterion {criterion!r}")
     cite, evaluate = _CRITERIA[criterion]
-    if system is None and "weights" in inputs and "degree" in inputs:
-        system = WeightSystem.of(inputs["weights"], inputs["degree"])
-        require_preconditions(system, "criterion undefined for")
-    conclusion, verdict, payload = evaluate(system, inputs)
+    try:
+        if system is None and criterion not in (CRIT_AUT, CRIT_KE):
+            system = WeightSystem.of(inputs["weights"], inputs["degree"])
+            require_preconditions(system, "criterion undefined for")
+        conclusion, verdict, payload = evaluate(system, inputs)
+    except (KeyError, TypeError) as exc:  # a missing key or a value of the wrong shape
+        raise ValueError(f"malformed {criterion} record: {exc!r}") from exc
     return TraceEntry(criterion, cite, dict(inputs), conclusion, verdict, payload)
 
 
@@ -257,6 +252,7 @@ CRIT_ALPHA_THRESHOLD = "alpha_above_threshold"
 CRIT_BOUNDARY_SMOOTH = "alpha_boundary_smooth"
 CRIT_BOUNDARY_PARITY = "alpha_boundary_star_parity"
 CRIT_KE = "kahler_einstein"
+COVER_MODES = ("universal", "support")
 
 
 def _eval_index_vs_dimension(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
@@ -303,12 +299,12 @@ def _eval_fermat_margin(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | 
 
 
 def _eval_smooth_cover(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, CoverPlan]:
-    if inputs["mode"] == "universal":
+    if _recorded(inputs, "mode", str, COVER_MODES) == "universal":
         plan = plan_cover_universal(ws)
         scope = "every quasi-smooth member"
     else:
         support = Support.of(inputs["weights"], inputs["degree"], inputs["monomials"])
-        _require_quasi_smooth(support)
+        require_member(support, ws)
         plan = plan_cover_for_support(support)
         scope = "the given member"
     if plan.ok:
@@ -331,9 +327,10 @@ def _eval_alpha_bound(
     ws: WeightSystem, inputs: dict
 ) -> tuple[str, Verdict | None, AlphaBound | None]:
     bound = alpha_lower_bound(ws, _recorded(inputs, "cover_available", bool))
+    mode = _recorded(inputs, "cover_mode", str, COVER_MODES)
     if bound is None:
         return ("alpha bound unavailable without a smooth cover", None, None)
-    if inputs["cover_mode"] == "support":
+    if mode == "support":
         bound = AlphaBound(bound.value, bound.case_tag, (SUPPORT_COVER_ASSUMPTION,))
     return (
         f"alpha >= {bound.value} (case {bound.case_tag}; assuming: "
@@ -345,7 +342,10 @@ def _eval_alpha_bound(
 
 
 def _eval_alpha_above_threshold(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
-    bound = Fraction(_recorded(inputs["alpha"], "num", int), _recorded(inputs["alpha"], "den", int))
+    num, den = _recorded(inputs["alpha"], "num", int), _recorded(inputs["alpha"], "den", int)
+    if den < 1:
+        raise ValueError(f"recorded alpha den must be positive, got {den}")
+    bound = Fraction(num, den)
     threshold = Fraction(ws.dim, ws.dim + 1)
     if bound > threshold:
         return (
@@ -490,9 +490,7 @@ def classify(
         raise ValueError(f"unknown member class {member_class!r}")
     require_preconditions(ws, "cannot classify")
     if support is not None:
-        if support.system != ws:
-            raise ValueError("support ambient does not match the weight system")
-        _require_quasi_smooth(support)
+        require_member(support, ws)
 
     # ws now meets the standing hypotheses, so each entry recorded on it takes
     # it as its checked system

@@ -340,6 +340,15 @@ class TestCoverPlan:
         assert result.exit_code == 2
         assert "would add up to 100000002 rows, more than 10000; not decided" in result.output
 
+    def test_support_not_quasi_smooth(self, runner, tmp_path):
+        # {z_0^20} covers to weights all 1, but the theorems need a quasi-smooth member
+        path = tmp_path / "z0.json"
+        rows = [[20, 0, 0, 0, 0, 0]]
+        path.write_text(json.dumps({"weights": [3, 4, 4, 5, 15, 30], "degree": 60, "monomials": rows}))
+        result = runner.invoke(cli, ["cover-plan", "3,4,4,5,15,30:60", "--support", str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: the given member is not quasi-smooth at the variables [1]")
+
     def test_support_mismatch(self, runner):
         result = runner.invoke(cli, ["cover-plan", "1,1,2,3:6", "--support", X60_PATH])
         assert result.exit_code == 2

@@ -13,6 +13,8 @@ import random
 import subprocess
 import sys
 import time
+import tokenize
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -681,3 +683,29 @@ def test_verdict_modules_have_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def test_top_level_names_are_used():
+    # a module-level name that occurs only where it is defined is dead code
+    root = Path(wfano.__file__).resolve().parents[2]
+    counts = Counter()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            with path.open("rb") as source:
+                tokens = tokenize.tokenize(source.readline)
+                counts.update(token.string for token in tokens if token.type == tokenize.NAME)
+    unused = []
+    for path in sorted(Path(wfano.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.decorator_list:
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            unused += [f"{path.name}:{name}" for name in names if counts[name] < 2]
+    assert unused == []

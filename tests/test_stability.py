@@ -556,6 +556,53 @@ class TestTraceRecompute:
         with pytest.raises(ValueError, match="integers, got|must be bool, got|must be int, got"):
             call()
 
+    @pytest.mark.parametrize(
+        "criterion, inputs",
+        [
+            pytest.param(
+                "alpha_above_threshold",
+                {"weights": [1, 1, 2, 3], "degree": 6, "alpha": {"num": 1, "den": 0, "case": ALPHA_STAR}},
+                id="alpha_zero_denominator",
+            ),
+            pytest.param(
+                "smooth_cover",
+                dict(fermat_support(WeightSystem((1, 1, 2, 3), 6)).to_json(), mode="Universal"),
+                id="cover_mode_misspelled",
+            ),
+            pytest.param(
+                "alpha_bound",
+                {"weights": [1, 1, 2, 3], "degree": 6, "cover_available": True, "cover_mode": "suport"},
+                id="alpha_cover_mode_misspelled",
+            ),
+            pytest.param(
+                "alpha_bound",
+                {"weights": [1, 1, 2, 3], "degree": 6, "cover_available": True},
+                id="alpha_without_cover_mode",
+            ),
+            pytest.param(
+                "smooth_cover",
+                {"weights": [1, 1, 2, 3], "degree": 6, "mode": "support"},
+                id="support_cover_without_monomials",
+            ),
+            pytest.param("aut_finiteness", {"weights": [1, 1, 2, 3]}, id="aut_without_multidegree"),
+            pytest.param("aut_finiteness", {"weights": 5, "multidegree": [6]}, id="aut_scalar_weights"),
+            pytest.param(
+                "alpha_bound",
+                {"weights": [1, 1, 2, 3], "cover_available": True, "cover_mode": "universal"},
+                id="alpha_without_degree",
+            ),
+            pytest.param(
+                "fermat_margin",
+                {"weights": [1, 1, 2, 3], "aut_finite": True},
+                id="fermat_without_degree",
+            ),
+        ],
+    )
+    def test_malformed_records_raise_value_error(self, criterion, inputs):
+        # a malformed report must be a validation failure, not a crash or a misreading
+        with pytest.raises(ValueError):
+            make_entry(criterion, inputs)
+
     def test_unregistered_criterion(self):
         entry = TraceEntry("made_up", "", {}, "", None)
         with pytest.raises(KeyError, match="unregistered criterion 'made_up'"):
@@ -760,3 +807,16 @@ def test_fivefolds_that_reached_the_residue_table_pinned():
         lines.append(f"{spec} {classify(ws).verdict.value} {plan_cover_universal(ws)!r}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == "9a1c25f048ade0daa72c9137a6fff397c6a141011ae54b92d21df76dbc46394d"
+
+
+def test_well_formedness_stays_linear():
+    # gcd of every n of 20,000 weights: the direct form takes seconds here,
+    # the prefix/suffix tables milliseconds
+    ws = WeightSystem((1,) * 20000, 19999)
+    start = time.perf_counter()
+    report = classify(ws)
+    for entry in report.trace:
+        assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
+    elapsed = time.perf_counter() - start
+    assert report.verdict is Verdict.K_STABLE
+    assert elapsed < 3, f"took {elapsed:.2f} s"
