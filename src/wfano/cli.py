@@ -136,7 +136,7 @@ def alpha(ws: str) -> None:
         click.echo(f"cover: universal route found ({plan.cover_count} cover steps)")
     else:
         click.echo(
-            f"cover: no universal route found (witness {tuple(plan.witness.exponents)} "
+            f"cover: no universal route found (witness {plan.witness} "
             f"at position {plan.witness_index})"
         )
     if bound is None:
@@ -175,7 +175,7 @@ def star_check(support_path: str, index: int | None) -> None:
         click.echo("star condition holds")
         return
     click.echo(
-        f"star violation: monomial {tuple(check.monomial.exponents)} at position "
+        f"star violation: monomial {check.monomial} at position "
         f"{check.index} (weight {support.weights[check.index]})"
     )
     sys.exit(EXIT_CONDITION)
@@ -203,13 +203,13 @@ def cover_plan(ws: str, support_path: str | None, universal: bool) -> None:
         else:
             click.echo(
                 f"step {k}: substitute at position {step.index} "
-                f"with {tuple(step.monomial.exponents)}"
+                f"with {step.monomial}"
             )
     if plan.ok:
         click.echo(f"plan: success, final weights {tuple(plan.final_weights)}")
         return
     click.echo(
-        f"plan: failure, monomial {tuple(plan.witness.exponents)} at position "
+        f"plan: failure, monomial {plan.witness} at position "
         f"{plan.witness_index} over weights {tuple(plan.witness_weights)}"
     )
     sys.exit(EXIT_CONDITION)

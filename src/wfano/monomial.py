@@ -1,9 +1,11 @@
-"""Monomial supports, the star condition, and the smooth-cover planner.
+"""Supports of monomials, the star condition, and the smooth-cover planner.
 
-A Support records the monomials of a weighted hypersurface member with
-generic coefficients.  Unlike WeightSystem, a support keeps the variable
-order of its source (constructor argument or fixture file): violation
-witnesses are reported in the coordinates of the polynomial they came from.
+A monomial is its exponent row k_0..k_n, a tuple of non-negative ints
+against an ambient weight list.  A Support records the monomials of a
+weighted hypersurface member with generic coefficients.  Unlike WeightSystem,
+a support keeps the variable order of its source (constructor argument or
+fixture file): violation witnesses are reported in the coordinates of the
+polynomial they came from.
 
 The star condition: every monomial with exponent 1 at a position of weight
 a_i > 1 must have a_i representable as a non-negative integer combination of
@@ -26,12 +28,14 @@ from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter, mul
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import WeightSystem, _representable, semigroup_decomposition
 
-NOTE_COVER = "cyclic cover z_i -> z_i**a_i; ambient weight a_i becomes 1"
-NOTE_SUBSTITUTE = "generic coordinate change z_i -> z_i + lambda*M removing a linear monomial"
+# an exponent row; Support keeps its rows in canonical order: descending
+# lexicographic, duplicates collapsed
+Row = tuple[int, ...]
+
 # distinct universal cover steps kept for sharing across plans; a fourfold
 # catalog pass needs 20, its lifts to dimension 5 another 23
 UNIVERSAL_STEP_CACHE_SIZE = 256
@@ -47,27 +51,10 @@ class SupportError(ValueError):
     """Support file or constructor input is malformed."""
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector k_0..k_n against an ambient weight list."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.exponents:
-            raise ValueError("monomial needs at least one exponent")
-        if any(type(k) is not int or k < 0 for k in self.exponents):  # a bool is no exponent
-            raise ValueError(f"exponents must be non-negative integers, got {self.exponents!r}")
-
-    def degree(self, weights: tuple[int, ...]) -> int:
-        if len(weights) != len(self.exponents):
-            raise ValueError(
-                f"monomial has {len(self.exponents)} exponents, ambient has {len(weights)} weights"
-            )
-        return sum(map(mul, self.exponents, weights))
-
-    def __repr__(self) -> str:
-        return f"Monomial{self.exponents!r}"
+def _require_exponents(row: Row, error: type[ValueError]) -> None:
+    """error unless every entry of row is a non-negative int."""
+    if any(type(k) is not int or k < 0 for k in row):  # a bool is no exponent
+        raise error(f"exponents must be non-negative integers, got {row!r}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +63,7 @@ class Support:
 
     weights: tuple[int, ...]
     degree: int
-    monomials: tuple[Monomial, ...]
+    monomials: tuple[Row, ...]
 
     def __post_init__(self) -> None:
         # type, not isinstance: a bool is an int but no weight or degree
@@ -86,28 +73,24 @@ class Support:
             raise SupportError(f"degree must be a positive integer, got {self.degree!r}")
         if not self.monomials:
             raise SupportError("support must contain at least one monomial")
-        # canonical order: descending lexicographic, duplicates collapsed
-        by_exponents = {m.exponents: m for m in self.monomials}
-        unique = tuple(by_exponents[e] for e in sorted(by_exponents, reverse=True))
-        for mono in unique:
-            try:
-                degree = mono.degree(self.weights)
-            except ValueError as exc:  # a row whose length differs from the weights
-                raise SupportError(str(exc)) from exc
+        for row in self.monomials:  # before sorting, which needs comparable entries
+            _require_exponents(row, SupportError)
+        unique = tuple(sorted(set(self.monomials), reverse=True))
+        for row in unique:
+            if len(row) != len(self.weights):
+                raise SupportError(
+                    f"monomial has {len(row)} exponents, ambient has {len(self.weights)} weights"
+                )
+            degree = sum(map(mul, row, self.weights))
             if degree != self.degree:
                 raise SupportError(
-                    f"monomial {mono.exponents} has weighted degree {degree}, "
-                    f"expected {self.degree}"
+                    f"monomial {row} has weighted degree {degree}, expected {self.degree}"
                 )
         object.__setattr__(self, "monomials", unique)
 
     @classmethod
     def of(cls, weights: Iterable[int], degree: int, exponent_rows: Iterable[Iterable[int]]) -> "Support":
-        try:
-            monomials = tuple(Monomial(tuple(row)) for row in exponent_rows)
-        except ValueError as exc:  # a negative or non-integer exponent
-            raise SupportError(str(exc)) from exc
-        return cls(tuple(weights), degree, monomials)
+        return cls(tuple(weights), degree, tuple(map(tuple, exponent_rows)))
 
     @property
     def system(self) -> WeightSystem:
@@ -119,7 +102,7 @@ class Support:
         return {
             "weights": list(self.weights),
             "degree": self.degree,
-            "monomials": [list(m.exponents) for m in self.monomials],
+            "monomials": [list(row) for row in self.monomials],
         }
 
 
@@ -164,7 +147,7 @@ def quasi_smooth_failure(support: Support) -> tuple[int, ...] | None:
     each size in lexicographic order.  ValueError, before any subset is tried,
     when more than MAX_UNPOWERED_VARIABLES variables have no pure power.
     """
-    rows = _rows(support)
+    rows = support.monomials
     masks = [sum(1 << j for j, k in enumerate(row) if k) for row in rows]
     powered = {m for m in masks if m & (m - 1) == 0}  # one variable: a pure power
     unpowered = [j for j in range(len(support.weights)) if 1 << j not in powered]
@@ -213,24 +196,21 @@ class StarCheck:
     """Outcome of a star-condition check; monomial/index are the first violation."""
 
     ok: bool
-    monomial: Monomial | None = None
+    monomial: Row | None = None
     index: int | None = None
 
 
 def _weight_at(weights: tuple[int, ...], i: int, operation: str | None = None) -> int:
-    """a_i; ValueError unless 0 <= i < len(weights), so no negative index wraps,
-    and, when an operation is named, unless a_i > 1."""
+    """a_i; ValueError unless i is an int (a bool is no position) with
+    0 <= i < len(weights), so no negative index wraps, and, when an operation
+    is named, unless a_i > 1."""
+    if type(i) is not int:
+        raise ValueError(f"position must be an integer, got {i!r}")
     if not 0 <= i < len(weights):
         raise ValueError(f"position {i} out of range for {len(weights)} variables")
     if operation is not None and weights[i] <= 1:
         raise ValueError(f"{operation} at index {i} needs weight > 1, got {weights[i]}")
     return weights[i]
-
-
-# Exponent rows: the planner and the public primitives below work on plain
-# exponent tuples against validated weights, kept in Support's canonical order
-# (descending lexicographic, duplicates collapsed).
-Row = tuple[int, ...]
 
 
 def _violates(weights: tuple[int, ...], row: Row, i: int) -> bool:
@@ -240,7 +220,7 @@ def _violates(weights: tuple[int, ...], row: Row, i: int) -> bool:
     return not _representable(weights[i], tuple(sorted(gens)))
 
 
-def _first_violation(weights: tuple[int, ...], rows: list[Row]) -> tuple[Row, int] | None:
+def _first_violation(weights: tuple[int, ...], rows: Sequence[Row]) -> tuple[Row, int] | None:
     """First (row, i) in row order, then index order, with k_i = 1 < a_i and
     a_i outside the semigroup of the weights of row's other variables."""
     for row in rows:
@@ -251,25 +231,20 @@ def _first_violation(weights: tuple[int, ...], rows: list[Row]) -> tuple[Row, in
     return None
 
 
-def _rows(support: Support) -> list[Row]:
-    return [mono.exponents for mono in support.monomials]
-
-
 def star_condition(support: Support) -> StarCheck:
     """Check every monomial; first violation in canonical order (monomial, then index)."""
-    found = _first_violation(support.weights, _rows(support))
+    found = _first_violation(support.weights, support.monomials)
     if found is None:
         return StarCheck(True)
-    row, i = found
-    return StarCheck(False, Monomial(row), i)
+    return StarCheck(False, *found)
 
 
 def star_condition_at(support: Support, i: int) -> StarCheck:
     """The per-index restriction; requires weight a_i > 1."""
     _weight_at(support.weights, i, "star condition")
-    for mono in support.monomials:
-        if mono.exponents[i] == 1 and _violates(support.weights, mono.exponents, i):
-            return StarCheck(False, mono, i)
+    for row in support.monomials:
+        if row[i] == 1 and _violates(support.weights, row, i):
+            return StarCheck(False, row, i)
     return StarCheck(True, index=i)
 
 
@@ -308,7 +283,7 @@ def _blocking_subset(d: int, a_i: int, pool: tuple[int, ...]) -> tuple[tuple[int
 
 def _universal_witness(
     weights: tuple[int, ...], i: int, combo: tuple[int, ...], remainder: int
-) -> Monomial:
+) -> Row:
     """z_i * prod_{value in combo} z_j^(1+m), each value at its lowest position j,
     with m the lexicographically smallest decomposition of remainder over combo."""
     coeffs = semigroup_decomposition(remainder, combo)
@@ -318,7 +293,7 @@ def _universal_witness(
     exps[i] = 1
     for value, m in zip(combo, coeffs):
         exps[weights.index(value)] = 1 + m  # no pool value is a_i, so never position i
-    return Monomial(tuple(exps))
+    return tuple(exps)
 
 
 def universal_star_at(ws: WeightSystem, i: int) -> StarCheck:
@@ -350,7 +325,7 @@ def universal_star_at(ws: WeightSystem, i: int) -> StarCheck:
 
 
 def _cover_rows(
-    weights: tuple[int, ...], rows: list[Row], i: int
+    weights: tuple[int, ...], rows: Sequence[Row], i: int
 ) -> tuple[tuple[int, ...], list[Row], tuple[int, ...]]:
     """The cover of z_i on rows: (new weights, new rows, perm), perm[new] = old.
 
@@ -367,7 +342,7 @@ def _cover_rows(
     return pick(raw), covered, perm
 
 
-def _substitute_rows(rows: list[Row], i: int, replacement: Row) -> list[Row]:
+def _substitute_rows(rows: Sequence[Row], i: int, replacement: Row) -> list[Row]:
     """rows together with z_i^(t-r) * M^r for every row with k_i = t and r = 1..t.
 
     ValueError, before any row is built, when that adds more than
@@ -395,40 +370,43 @@ def apply_cover(support: Support, i: int) -> tuple[Support, tuple[int, ...]]:
     new positions to old ones (perm[new] = old), stable on ties.
     """
     _weight_at(support.weights, i, "cover")
-    weights, rows, perm = _cover_rows(support.weights, _rows(support), i)
+    weights, rows, perm = _cover_rows(support.weights, support.monomials, i)
     return Support.of(weights, support.degree, rows), perm
 
 
-def substitute(support: Support, i: int, replacement: Monomial) -> Support:
+def substitute(support: Support, i: int, replacement: Row) -> Support:
     """Generic-coefficient closure of z_i -> z_i + lambda * M.
 
-    M must avoid z_i and have weighted degree a_i.  Every monomial with
-    k_i = t > 0 contributes the expansions z_i^(t-r) * M^r for r = 0..t; the
-    result is the union with the original support (no cancellation is assumed).
-    ValueError when that adds more than MAX_SUBSTITUTION_ROWS rows.
+    M, the exponent row replacement, must avoid z_i and have weighted degree
+    a_i.  Every monomial with k_i = t > 0 contributes the expansions
+    z_i^(t-r) * M^r for r = 0..t; the result is the union with the original
+    support (no cancellation is assumed).  ValueError when that adds more than
+    MAX_SUBSTITUTION_ROWS rows.
     """
     a_i = _weight_at(support.weights, i)
-    if len(replacement.exponents) != len(support.weights):
+    _require_exponents(replacement, ValueError)
+    if len(replacement) != len(support.weights):
         raise ValueError("replacement monomial does not match the ambient variable count")
-    if replacement.exponents[i] != 0:
+    if replacement[i] != 0:
         raise ValueError(f"replacement monomial must not involve variable {i}")
-    if replacement.degree(support.weights) != a_i:
+    degree = sum(map(mul, replacement, support.weights))
+    if degree != a_i:
         raise ValueError(
-            f"replacement monomial has degree {replacement.degree(support.weights)}, "
-            f"expected the weight {a_i} of variable {i}"
+            f"replacement monomial has degree {degree}, expected the weight {a_i} of variable {i}"
         )
-    rows = _substitute_rows(_rows(support), i, replacement.exponents)
+    rows = _substitute_rows(support.monomials, i, replacement)
     return Support.of(support.weights, support.degree, rows)
 
 
 @dataclass(frozen=True)
 class CoverStep:
-    """One planner action: a cyclic cover (with its re-sort permutation) or a substitution."""
+    """One planner action at position i = index: a cyclic cover z_i -> z_i**a_i
+    (a_i becomes 1; permutation re-sorts the ambient, perm[new] = old) or a
+    substitution z_i -> z_i + lambda*M removing a linear monomial M."""
 
     kind: str  # "cover" | "substitute"
     index: int
-    note: str
-    monomial: Monomial | None = None
+    monomial: Row | None = None
     permutation: tuple[int, ...] | None = None
 
 
@@ -438,7 +416,7 @@ class CoverPlan:
 
     steps: tuple[CoverStep, ...]
     ok: bool
-    witness: Monomial | None = None
+    witness: Row | None = None
     witness_index: int | None = None
     witness_weights: tuple[int, ...] | None = None
     final_weights: tuple[int, ...] | None = None
@@ -448,7 +426,7 @@ class CoverPlan:
         return sum(1 for step in self.steps if step.kind == "cover")
 
 
-def _check_degrees(weights: tuple[int, ...], degree: int, rows: list[Row]) -> None:
+def _check_degrees(weights: tuple[int, ...], degree: int, rows: Sequence[Row]) -> None:
     for row in rows:
         if sum(map(mul, row, weights)) != degree:
             raise AssertionError(f"row {row} left weighted degree {degree} under weights {weights}")
@@ -464,10 +442,9 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
     The support's weights and exponent rows are read once; each step is a
     row operation shared with apply_cover and substitute, followed by a check
     that every row keeps the weighted degree and by the star check that
-    star_condition runs.  A Monomial is built only for a substitution's
-    replacement and for the failure witness.
+    star_condition runs.
     """
-    weights, degree, rows = support.weights, support.degree, _rows(support)
+    weights, degree, rows = support.weights, support.degree, support.monomials
     violation = _first_violation(weights, rows)
     steps: list[CoverStep] = []
     while violation is None and max(weights) > 1:
@@ -482,9 +459,7 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
             for j, m in zip(positions, coeffs):
                 exps[j] += m
             replacement = tuple(exps)
-            steps.append(
-                CoverStep(kind="substitute", index=i, note=NOTE_SUBSTITUTE, monomial=Monomial(replacement))
-            )
+            steps.append(CoverStep(kind="substitute", index=i, monomial=replacement))
             rows = _substitute_rows(rows, i, replacement)
             _check_degrees(weights, degree, rows)
             violation = _first_violation(weights, rows)
@@ -492,14 +467,14 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
                 break
         weights, rows, perm = _cover_rows(weights, rows, i)
         _check_degrees(weights, degree, rows)
-        steps.append(CoverStep(kind="cover", index=i, note=NOTE_COVER, permutation=perm))
+        steps.append(CoverStep(kind="cover", index=i, permutation=perm))
         violation = _first_violation(weights, rows)
     if violation is not None:
         row, index = violation
         return CoverPlan(
             steps=tuple(steps),
             ok=False,
-            witness=Monomial(row),
+            witness=row,
             witness_index=index,
             witness_weights=weights,
         )
@@ -516,7 +491,6 @@ def _universal_step(ones: int, i: int, n: int) -> CoverStep:
     return CoverStep(
         kind="cover",
         index=i,
-        note=NOTE_COVER,
         permutation=(*range(ones), i, *range(ones, i), *range(i + 1, n)),
     )
 

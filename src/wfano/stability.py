@@ -215,15 +215,19 @@ def _recorded(inputs: dict, key: str, kind: type, among: tuple[str, ...] = ()) -
     return value
 
 
+def _recorded_support(inputs: dict) -> Support:
+    return Support.of(inputs["weights"], inputs["degree"], inputs["monomials"])
+
+
 def registered_criteria() -> tuple[str, ...]:
     return tuple(sorted(_CRITERIA))
 
 
 def make_entry(criterion: str, inputs: dict, system: WeightSystem | None = None) -> TraceEntry:
     """Evaluate a criterion on inputs; system is the recorded system, known to
-    meet the standing hypotheses, or None to build it from the recorded weights
-    and degree and check it.  ValueError when the system fails them or the
-    record is malformed."""
+    meet the standing hypotheses and to hold the member of a support-mode
+    smooth_cover record, or None to build and check both from the record.
+    ValueError when a check fails or the record is malformed."""
     if criterion not in _CRITERIA:
         raise KeyError(f"unregistered criterion {criterion!r}")
     cite, evaluate = _CRITERIA[criterion]
@@ -231,6 +235,8 @@ def make_entry(criterion: str, inputs: dict, system: WeightSystem | None = None)
         if system is None and criterion not in (CRIT_AUT, CRIT_KE):
             system = WeightSystem.of(inputs["weights"], inputs["degree"])
             require_preconditions(system, "criterion undefined for")
+            if criterion == CRIT_COVER and inputs.get("mode") == "support":
+                require_member(_recorded_support(inputs), system)
         conclusion, verdict, payload = evaluate(system, inputs)
     except (KeyError, TypeError) as exc:  # a missing key or a value of the wrong shape
         raise ValueError(f"malformed {criterion} record: {exc!r}") from exc
@@ -303,9 +309,7 @@ def _eval_smooth_cover(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | N
         plan = plan_cover_universal(ws)
         scope = "every quasi-smooth member"
     else:
-        support = Support.of(inputs["weights"], inputs["degree"], inputs["monomials"])
-        require_member(support, ws)
-        plan = plan_cover_for_support(support)
+        plan = plan_cover_for_support(_recorded_support(inputs))
         scope = "the given member"
     if plan.ok:
         return (
@@ -315,7 +319,7 @@ def _eval_smooth_cover(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | N
             plan,
         )
     return (
-        f"no smooth cover found for {scope}: monomial {list(plan.witness.exponents)} "
+        f"no smooth cover found for {scope}: monomial {list(plan.witness)} "
         f"at position {plan.witness_index} blocks the semigroup condition over "
         f"weights {list(plan.witness_weights)}",
         None,

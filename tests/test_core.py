@@ -709,3 +709,30 @@ def test_top_level_names_are_used():
                 names = []
             unused += [f"{path.name}:{name}" for name in names if counts[name] < 2]
     assert unused == []
+
+
+def test_dataclass_fields_are_read():
+    # a dataclass field that is never read as .field is dead data; ast, unlike
+    # tokenize on Python 3.11, also sees the attributes read inside f-strings
+    root = Path(wfano.__file__).resolve().parents[2]
+    read = {
+        node.attr
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    unread = []
+    for path in sorted(Path(wfano.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            unread += [
+                f"{path.name}:{node.name}.{field.target.id}"
+                for field in node.body
+                if isinstance(field, ast.AnnAssign) and field.target.id not in read
+            ]
+    assert unread == []

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wfano
-from wfano import core
+from wfano import core, monomial
 from wfano import (
     ALPHA_ALL_GE2,
     ALPHA_GENERIC,
@@ -657,6 +657,25 @@ def _count_hypothesis_work(monkeypatch) -> Counter:
 class TestHypothesisWork:
     """classify checks each system once and hands it to every evaluator."""
 
+    def test_given_member_checked_once(self, monkeypatch):
+        # classify gates the member and hands it, checked, to the support-mode
+        # evaluator; recomputing that entry gates the recorded member once
+        checked = []
+        real = monomial.quasi_smooth_failure
+
+        def counted(support):
+            checked.append(support)
+            return real(support)
+
+        monkeypatch.setattr(monomial, "quasi_smooth_failure", counted)
+        support = load_support(FIXTURES / "x60_p3454_15_30.json")
+        report = classify(X60_SYSTEM, MEMBER_ANY, support=support)
+        assert checked == [support]
+        checked.clear()
+        entry = next(e for e in report.trace if e.inputs.get("mode") == "support")
+        assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
+        assert checked == [support]
+
     def test_classify_checks_each_fourfold_once(self, fourfold_catalog, monkeypatch):
         # the classify4 benchmark traffic: per system, the standing check and
         # well-formedness test of classify, then the index-one check of the
@@ -806,7 +825,7 @@ def test_fivefolds_that_reached_the_residue_table_pinned():
         ws = WeightSystem.of(map(int, weights.split(",")), int(degree))
         lines.append(f"{spec} {classify(ws).verdict.value} {plan_cover_universal(ws)!r}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "9a1c25f048ade0daa72c9137a6fff397c6a141011ae54b92d21df76dbc46394d"
+    assert digest == "f74a6bd6477dc687ed38a5aa5dbd96c2ed01912471eb7b9bef4af104cc19919f"
 
 
 def test_well_formedness_stays_linear():
