@@ -254,6 +254,15 @@ def load_catalog(path: str | Path, query: EnumerationQuery | None = None) -> Enu
         raise CatalogError(f"catalog schema error: {exc}") from exc
     if list(systems) != sorted(set(systems)):
         raise CatalogError("catalog systems are not in canonical sorted order")
+    d_max = stored_query.d_max
+    for ws in systems:  # O(weights) each; well-formedness and divisibility are not re-tested
+        if (
+            ws.num_weights != stored_query.num_weights
+            or ws.index != stored_query.index
+            or (d_max is not None and ws.degree > d_max)
+            or ws.is_linear_cone
+        ):
+            raise CatalogError(f"catalog system {ws.render()} lies outside its query {stored_query}")
     if query is not None and stored_query != query:
         raise CatalogMismatch(
             f"catalog was built for {stored_query}, requested {query}"

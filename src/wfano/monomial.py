@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from operator import itemgetter, mul
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -66,6 +67,9 @@ class Support:
     monomials: tuple[Row, ...]
 
     def __post_init__(self) -> None:
+        # a list would leave the support unhashable and unequal to its tuple twin
+        if not isinstance(self.weights, tuple):
+            raise SupportError(f"weights must be a tuple, got {self.weights!r}; Support.of takes any iterable")
         # type, not isinstance: a bool is an int but no weight or degree
         if not self.weights or any(type(a) is not int or a <= 0 for a in self.weights):
             raise SupportError(f"weights must be positive integers, got {self.weights!r}")
@@ -74,6 +78,8 @@ class Support:
         if not self.monomials:
             raise SupportError("support must contain at least one monomial")
         for row in self.monomials:  # before sorting, which needs comparable entries
+            if not isinstance(row, tuple):
+                raise SupportError(f"monomial rows must be tuples, got {row!r}; Support.of takes any iterables")
             _require_exponents(row, SupportError)
         unique = tuple(sorted(set(self.monomials), reverse=True))
         for row in unique:
@@ -260,9 +266,15 @@ def _blocking_subset(d: int, a_i: int, pool: tuple[int, ...]) -> tuple[tuple[int
     for each s in pool as s does not divide a_i; so the empty set blocks iff
     d = a_i, and {s} blocks iff r = d - a_i - s >= 0 is a multiple of s.
     Neither size can stop the search, unless pool is empty.
+
+    No subset blocks unless gcd(pool) divides d - a_i: if S blocks, gcd(S)
+    divides d - a_i - sum(S) and sum(S), so d - a_i, and gcd(pool) divides
+    gcd(S).  That test settles most calls before any subset is tried.
     """
     if d == a_i:
         return (), 0
+    if pool and (d - a_i) % gcd(*pool):
+        return None
     for s in pool:
         remainder = d - a_i - s
         if remainder >= 0 and remainder % s == 0:
@@ -313,7 +325,9 @@ def universal_star_at(ws: WeightSystem, i: int) -> StarCheck:
     dropped, which keeps the order of the remaining subsets (combinations of a
     sorted sublist, size by size); _blocking_subset tests every other subset
     directly.  The first blocking subset, and with it the witness, is the same
-    as in the full scan.
+    as in the full scan.  Nothing blocks when the gcd of the remaining values
+    does not divide d - a_i: a blocking S has gcd(S) dividing both
+    d - a_i - sum(S) and sum(S), and the pool's gcd divides gcd(S).
     """
     weights = ws.weights
     a_i = _weight_at(weights, i, "universal star check")
@@ -517,6 +531,10 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
     A failed plan builds the witness from the subset recorded for the lowest
     value: universal_star_at finds the same, as no subset ahead of it in the
     pool's order blocked in the larger pool where it was recorded.
+
+    A value passes at once when the gcd of its pool does not divide d - a: a
+    blocking S has gcd(S) dividing d - a - sum(S) and sum(S), so d - a, and
+    the pool's gcd divides gcd(S).
     """
     d, n = ws.degree, ws.num_weights
     ones = ws.weights.count(1)

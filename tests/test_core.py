@@ -24,7 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wfano
-from wfano import core
+from wfano import core, monomial
 from wfano import (
     WeightSystem,
     check_lemma_ineq,
@@ -555,6 +555,33 @@ def test_catalog_pair_tests_pinned(fourfold_catalog, monkeypatch):
     for ws in fourfold_catalog.systems:
         classify(WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree))
     assert len(calls) == 872
+
+
+def count_membership_tests(monkeypatch):
+    """The (target, generators) of every membership test the planners make."""
+    calls = []
+    real = monomial._representable
+
+    def counted(target, gens):
+        calls.append((target, gens))
+        return real(target, gens)
+
+    monkeypatch.setattr(monomial, "_representable", counted)
+    return calls
+
+
+def test_catalog_membership_tests_pinned(fourfold_catalog, monkeypatch):
+    # the membership tests of the universal star checks in the same two
+    # passes; without the pool-gcd test in _blocking_subset they were 18,906
+    # and 45,241
+    calls = count_membership_tests(monkeypatch)
+    for ws in fourfold_catalog.systems:
+        classify(ws)
+    assert len(calls) == 5276
+    calls.clear()
+    for ws in fourfold_catalog.systems:
+        classify(WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree))
+    assert len(calls) == 6969
 
 
 class TestTripleGap:

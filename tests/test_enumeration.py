@@ -10,6 +10,7 @@ from wfano import (
     CatalogError,
     CatalogMismatch,
     EnumerationQuery,
+    EnumerationResult,
     WeightSystem,
     enumerate_bruteforce,
     enumerate_systems,
@@ -279,6 +280,24 @@ class TestCatalogPersistence:
         edit(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(CatalogError, match=f"schema error: {message}"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "query, system",
+        [
+            (EnumerationQuery(6, 1), WeightSystem((1, 1, 2), 2)),
+            (EnumerationQuery(4, 1), WeightSystem((1, 1, 1, 1, 1), 4)),
+            (EnumerationQuery(4, 1), WeightSystem((1, 1, 1, 1), 2)),
+            (EnumerationQuery(4, 1, d_max=10), WeightSystem((2, 3, 3, 4), 11)),
+            (EnumerationQuery(3, 2, d_max=10), WeightSystem((1, 1, 2), 2)),
+        ],
+        ids=["every_field", "weight_count", "index", "above_d_max", "linear_cone"],
+    )
+    def test_system_outside_the_stored_query(self, tmp_path, query, system):
+        # each system was loaded as a member of a catalog that cannot hold it
+        path = tmp_path / "outside.json"
+        save_catalog(EnumerationResult(query, (system,), complete=False), path)
+        with pytest.raises(CatalogError, match=f"catalog system {system.render()} lies outside its query"):
             load_catalog(path)
 
     @pytest.mark.parametrize("version", [True, 1.0])

@@ -11,11 +11,11 @@ import random
 from collections import Counter
 from functools import cache
 from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import mul
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from wfano import (
@@ -39,7 +39,7 @@ from wfano import monomial
 from wfano.monomial import CoverPlan, CoverStep, StarCheck
 
 from conftest import FIXTURES
-from test_core import naive_decomposition, naive_representable
+from test_core import count_membership_tests, naive_decomposition, naive_representable
 
 X60 = FIXTURES / "x60_p3454_15_30.json"
 X60_DIM50 = FIXTURES / "x60_dim50_p1x49_345.json"
@@ -142,6 +142,17 @@ def universal_star_systems(draw):
         )
     )
     weights = sorted(base + extras)
+    return WeightSystem(weights, draw(st.integers(weights[-1], 120)))
+
+
+@st.composite
+def shared_factor_systems(draw):
+    # most weights are multiples of one factor, so most pools have a gcd above
+    # 1; the degree falls on either side of d - a_i being one of its multiples
+    factor = draw(st.integers(2, 6))
+    shared = draw(st.lists(st.integers(1, 8).map(lambda k: k * factor), min_size=2, max_size=5))
+    others = draw(st.lists(st.integers(1, 24), max_size=2))
+    weights = sorted(shared + others)
     return WeightSystem(weights, draw(st.integers(weights[-1], 120)))
 
 
@@ -416,6 +427,23 @@ class TestMonomialAndSupport:
         with pytest.raises(SupportError, match="monomial has 3 exponents, ambient has 2 weights"):
             Support((1, 2), 4, ((0, 2, 0),))
 
+    @pytest.mark.parametrize(
+        "weights, rows, message",
+        [
+            ((1, 2), ([4, 0],), r"monomial rows must be tuples, got \[4, 0\]"),
+            ([1, 2], ((4, 0),), r"weights must be a tuple, got \[1, 2\]"),
+        ],
+        ids=["row", "weights"],
+    )
+    def test_constructor_rejects_lists(self, weights, rows, message):
+        # a list row was unhashable; list weights made a support that could
+        # not be hashed and compared unequal to its tuple twin
+        with pytest.raises(SupportError, match=message):
+            Support(weights, 4, rows)
+        support = Support.of(weights, 4, rows)
+        assert support == Support((1, 2), 4, ((4, 0),))
+        assert hash(support) == hash(Support((1, 2), 4, ((4, 0),)))
+
 
 class TestFixturesRederived:
     def test_x60_matches_pencil_expansion(self, x60):
@@ -575,10 +603,33 @@ class TestUniversalStar:
     @given(universal_star_systems())
     @example(WeightSystem((2, 3, 4), 7))  # blocked at 3 by {2}
     @example(WeightSystem((2, 3), 3))  # blocked at 3 by the empty set
+    @example(WeightSystem((3, 4, 6), 12))  # at 3, gcd(4, 6) = 2 does not divide 9
+    @example(WeightSystem((3, 4, 6), 13))  # at 3, 2 divides 10: blocked by {4, 6}
+    @example(WeightSystem((2, 9, 12), 17))  # at 2, gcd(9, 12) = 3 divides 15: scanned, open
     def test_matches_naive_subset_scan(self, ws):
         for i, a in enumerate(ws.weights):
             if a > 1:
                 assert universal_star_at(ws, i) == naive_universal_star_at(ws, i), (ws, i)
+
+    def test_matches_naive_subset_scan_on_shared_factors(self):
+        # the pool's gcd decides most positions here; both sides of that test
+        # must be drawn often for the property to cover the closed form
+        sides = Counter()
+
+        @settings(max_examples=300)
+        @given(shared_factor_systems())
+        def check(ws):
+            for i, a in enumerate(ws.weights):
+                if a > 1:
+                    g = gcd(*{v for v in ws.weights if a % v})  # 0 for an empty pool
+                    if ws.degree != a and g > 1:
+                        side = "gcd closes" if (ws.degree - a) % g else "gcd divides"
+                        event(side)
+                        sides[side] += 1
+                    assert universal_star_at(ws, i) == naive_universal_star_at(ws, i), (ws, i)
+
+        check()
+        assert sides["gcd closes"] >= 100 and sides["gcd divides"] >= 100, sides
 
     def test_search_stops_after_first_size_without_blocking_subset(self, monkeypatch):
         # 1000003 lies outside the semigroup of the empty set and of each prime
@@ -599,6 +650,16 @@ class TestUniversalStar:
         # the 190 pairs tested against a_i; no pair blocks, so no remainder is tested
         assert sum(1 for target, _ in calls if target == 1000003) == 190
         assert len(calls) == 190
+
+    def test_pool_gcd_not_dividing_closes_the_search(self, monkeypatch):
+        # a_i = 3 against the twelve even weights 4..26: 3 lies outside the
+        # semigroup of every subset, so without the gcd test each of the 4,083
+        # subsets of size 2 and up takes two membership tests; d - a_i = 181 is
+        # odd, so no remainder is even and none of them can block
+        ws = WeightSystem((3, *range(4, 27, 2)), 184)
+        calls = count_membership_tests(monkeypatch)
+        assert universal_star_at(ws, 0).ok
+        assert calls == []
 
     def test_sizes_zero_and_one_block_in_closed_form(self):
         assert universal_star_at(WeightSystem((2, 3, 4), 7), 1).monomial == (2, 1, 0)
