@@ -167,17 +167,12 @@ def fermat(ws: str) -> None:
 def star_check(support_path: str, index: int | None) -> None:
     """Check the exponent-1 semigroup condition on a support file."""
     support = load_support(support_path)
-    if index is None:
-        check = star_condition(support)
-    else:
-        check = star_condition_at(support, index)
-    if check.ok:
+    violation = star_condition(support) if index is None else star_condition_at(support, index)
+    if violation is None:
         click.echo("star condition holds")
         return
-    click.echo(
-        f"star violation: monomial {check.monomial} at position "
-        f"{check.index} (weight {support.weights[check.index]})"
-    )
+    row, i = violation
+    click.echo(f"star violation: monomial {row} at position {i} (weight {support.weights[i]})")
     sys.exit(EXIT_CONDITION)
 
 

@@ -157,6 +157,23 @@ def _lcm_systems(num_weights: int, index: int, d_max: int | None) -> list[Weight
     return found
 
 
+def _in_query(ws: WeightSystem, query: EnumerationQuery) -> bool:
+    """Whether the search for query lists ws: the query's weight count and
+    index, degree at most d_max, well-formed, divisible and no linear cone."""
+    return (
+        ws.num_weights == query.num_weights
+        and ws.index == query.index
+        and (query.d_max is None or ws.degree <= query.d_max)
+        and ws.well_formed
+        and not precondition_errors(ws)
+    )
+
+
+def _exhaustive(query: EnumerationQuery) -> bool:
+    """The search for query lists every system: index 1 without a degree bound."""
+    return query.index == 1 and query.d_max is None
+
+
 def enumerate_systems(query: EnumerationQuery) -> EnumerationResult:
     """All well-formed, non-cone systems with sum(a_i) - d = index and a_i | d.
 
@@ -168,13 +185,9 @@ def enumerate_systems(query: EnumerationQuery) -> EnumerationResult:
     systems = _lcm_systems(query.num_weights, query.index, query.d_max)
     unique = sorted(set(systems))
     for ws in unique:
-        if ws.index != query.index or not ws.well_formed or precondition_errors(ws):
+        if not _in_query(ws, query):
             raise AssertionError(f"enumeration produced {ws.render()}, outside the query")
-    return EnumerationResult(
-        query=query,
-        systems=tuple(unique),
-        complete=query.index == 1 and query.d_max is None,
-    )
+    return EnumerationResult(query=query, systems=tuple(unique), complete=_exhaustive(query))
 
 
 def enumerate_bruteforce(num_weights: int, index: int, a_max: int) -> EnumerationResult:
@@ -254,14 +267,10 @@ def load_catalog(path: str | Path, query: EnumerationQuery | None = None) -> Enu
         raise CatalogError(f"catalog schema error: {exc}") from exc
     if list(systems) != sorted(set(systems)):
         raise CatalogError("catalog systems are not in canonical sorted order")
-    d_max = stored_query.d_max
-    for ws in systems:  # O(weights) each; well-formedness and divisibility are not re-tested
-        if (
-            ws.num_weights != stored_query.num_weights
-            or ws.index != stored_query.index
-            or (d_max is not None and ws.degree > d_max)
-            or ws.is_linear_cone
-        ):
+    if complete and not _exhaustive(stored_query):
+        raise CatalogError(f"catalog is marked complete, but {stored_query} is not index 1 without d_max")
+    for ws in systems:
+        if not _in_query(ws, stored_query):
             raise CatalogError(f"catalog system {ws.render()} lies outside its query {stored_query}")
     if query is not None and stored_query != query:
         raise CatalogMismatch(

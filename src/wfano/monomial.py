@@ -197,15 +197,6 @@ def require_member(support: Support, ws: WeightSystem) -> None:
         )
 
 
-@dataclass(frozen=True)
-class StarCheck:
-    """Outcome of a star-condition check; monomial/index are the first violation."""
-
-    ok: bool
-    monomial: Row | None = None
-    index: int | None = None
-
-
 def _weight_at(weights: tuple[int, ...], i: int, operation: str | None = None) -> int:
     """a_i; ValueError unless i is an int (a bool is no position) with
     0 <= i < len(weights), so no negative index wraps, and, when an operation
@@ -237,21 +228,18 @@ def _first_violation(weights: tuple[int, ...], rows: Sequence[Row]) -> tuple[Row
     return None
 
 
-def star_condition(support: Support) -> StarCheck:
-    """Check every monomial; first violation in canonical order (monomial, then index)."""
-    found = _first_violation(support.weights, support.monomials)
-    if found is None:
-        return StarCheck(True)
-    return StarCheck(False, *found)
+def star_condition(support: Support) -> tuple[Row, int] | None:
+    """First violation (row, i) in canonical order (row, then index), or None."""
+    return _first_violation(support.weights, support.monomials)
 
 
-def star_condition_at(support: Support, i: int) -> StarCheck:
-    """The per-index restriction; requires weight a_i > 1."""
+def star_condition_at(support: Support, i: int) -> tuple[Row, int] | None:
+    """The per-index restriction: first violation (row, i), or None; requires weight a_i > 1."""
     _weight_at(support.weights, i, "star condition")
     for row in support.monomials:
         if row[i] == 1 and _violates(support.weights, row, i):
-            return StarCheck(False, row, i)
-    return StarCheck(True, index=i)
+            return row, i
+    return None
 
 
 def _blocking_subset(d: int, a_i: int, pool: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
@@ -308,8 +296,9 @@ def _universal_witness(
     return tuple(exps)
 
 
-def universal_star_at(ws: WeightSystem, i: int) -> StarCheck:
-    """Would every conceivable member satisfy the star condition at position i?
+def universal_star_at(ws: WeightSystem, i: int) -> tuple[Row, int] | None:
+    """The violation (witness, i) of some conceivable member at position i, or
+    None when every member satisfies the star condition there.
 
     Fails iff some set of other variables S has a_i outside the semigroup of
     its weights while d - a_i - sum(S) lies inside: then the monomial
@@ -333,9 +322,7 @@ def universal_star_at(ws: WeightSystem, i: int) -> StarCheck:
     a_i = _weight_at(weights, i, "universal star check")
     # sorted, distinct and positive: the internal membership test needs no re-check
     found = _blocking_subset(ws.degree, a_i, tuple(sorted({a for a in weights if a_i % a})))
-    if found is None:
-        return StarCheck(True, index=i)
-    return StarCheck(False, _universal_witness(weights, i, *found), i)
+    return None if found is None else (_universal_witness(weights, i, *found), i)
 
 
 def _cover_rows(

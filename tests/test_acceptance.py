@@ -171,10 +171,9 @@ def test_c07_cover_planners_positive(surface_catalog, threefold_catalog, fourfol
 
 def test_c08_cover_planner_negative_witnesses(fourfold_catalog):
     support = load_support(FIXTURES / "x60_p3454_15_30.json")
-    check = star_condition(support)
-    assert not check.ok
-    assert check.monomial == (17, 1, 1, 0, 0, 0)
-    assert support.weights[check.index] == 4
+    row, i = star_condition(support)
+    assert row == (17, 1, 1, 0, 0, 0)
+    assert support.weights[i] == 4
 
     unknowns = json.loads((FIXTURES / "fourfold_unknowns.json").read_text(encoding="utf-8"))
     resistant = [WeightSystem(tuple(row["weights"]), row["degree"]) for row in unknowns["unknown"]]

@@ -290,8 +290,13 @@ class TestCatalogPersistence:
             (EnumerationQuery(4, 1), WeightSystem((1, 1, 1, 1), 2)),
             (EnumerationQuery(4, 1, d_max=10), WeightSystem((2, 3, 3, 4), 11)),
             (EnumerationQuery(3, 2, d_max=10), WeightSystem((1, 1, 2), 2)),
+            (EnumerationQuery(6, 1), WeightSystem((1, 2, 2, 2, 2, 2), 10)),
+            (EnumerationQuery(6, 1), WeightSystem((1, 1, 1, 1, 1, 3), 7)),
         ],
-        ids=["every_field", "weight_count", "index", "above_d_max", "linear_cone"],
+        ids=[
+            "every_field", "weight_count", "index", "above_d_max", "linear_cone",
+            "not_well_formed", "not_divisible",
+        ],
     )
     def test_system_outside_the_stored_query(self, tmp_path, query, system):
         # each system was loaded as a member of a catalog that cannot hold it
@@ -299,6 +304,19 @@ class TestCatalogPersistence:
         save_catalog(EnumerationResult(query, (system,), complete=False), path)
         with pytest.raises(CatalogError, match=f"catalog system {system.render()} lies outside its query"):
             load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "query", [EnumerationQuery(4, 1, d_max=30), EnumerationQuery(3, 2, d_max=10)], ids=["d_max", "index_2"]
+    )
+    def test_complete_only_for_index_one_without_d_max(self, tmp_path, query):
+        # a search bounded by d_max cannot list every system; complete=false stays valid
+        result = enumerate_systems(query)
+        path = tmp_path / "bounded.json"
+        save_catalog(EnumerationResult(query, result.systems, complete=True), path)
+        with pytest.raises(CatalogError, match="catalog is marked complete"):
+            load_catalog(path)
+        save_catalog(result, path)
+        assert load_catalog(path) == result
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_must_be_an_integer(self, surface_catalog, tmp_path, version):

@@ -36,7 +36,7 @@ from wfano import (
     universal_star_at,
 )
 from wfano import monomial
-from wfano.monomial import CoverPlan, CoverStep, StarCheck
+from wfano.monomial import CoverPlan, CoverStep
 
 from conftest import FIXTURES
 from test_core import count_membership_tests, naive_decomposition, naive_representable
@@ -121,8 +121,8 @@ def naive_universal_star_at(ws, i):
             for value, m in zip(combo, naive_decomposition(remainder, combo)):
                 lowest = min(j for j, a in enumerate(weights) if j != i and a == value)
                 exps[lowest] = 1 + m
-            return StarCheck(False, tuple(exps), i)
-    return StarCheck(True, index=i)
+            return tuple(exps), i
+    return None
 
 
 @st.composite
@@ -166,17 +166,17 @@ def naive_plan_cover_universal(ws):
         for i, a in enumerate(current.weights):
             if a <= 1:
                 continue
-            result = universal_star_at(current, i)
-            if result.ok:
+            violation = universal_star_at(current, i)
+            if violation is None:
                 break
             if first_blocked is None:
-                first_blocked = (i, result)
+                first_blocked = violation
         else:
-            blocked_index, blocked = first_blocked
+            witness, blocked_index = first_blocked
             return CoverPlan(
                 steps=tuple(steps),
                 ok=False,
-                witness=blocked.monomial,
+                witness=witness,
                 witness_index=blocked_index,
                 witness_weights=current.weights,
             )
@@ -199,7 +199,7 @@ def some_cover_order_succeeds(ws):
         return any(
             succeeds(tuple(sorted(weights[:i] + (1,) + weights[i + 1:])))
             for i, a in enumerate(weights)
-            if a > 1 and universal_star_at(current, i).ok
+            if a > 1 and universal_star_at(current, i) is None
         )
 
     return succeeds(ws.weights)
@@ -477,21 +477,19 @@ class TestFermatSupport:
 
 class TestStarCondition:
     def test_x60_first_violation(self, x60):
-        check = star_condition(x60)
-        assert not check.ok
-        assert check.monomial == (17, 1, 1, 0, 0, 0)
-        assert check.index == 1
-        assert x60.weights[check.index] == 4
+        row, i = star_condition(x60)
+        assert row == (17, 1, 1, 0, 0, 0)
+        assert i == 1
+        assert x60.weights[i] == 4
 
     def test_x60_per_position(self, x60):
-        bad = star_condition_at(x60, 1)
-        assert not bad.ok and bad.monomial == (17, 1, 1, 0, 0, 0)
+        assert star_condition_at(x60, 1) == ((17, 1, 1, 0, 0, 0), 1)
         # x^17*y*z also blocks the weight-5 variable: 5 is not in <3, 4>
-        assert not star_condition_at(x60, 2).ok
+        assert star_condition_at(x60, 2) is not None
         # no monomial is linear in the second weight-4 variable
-        assert star_condition_at(x60, 3).ok
+        assert star_condition_at(x60, 3) is None
         # u^2*w is linear in w but 30 lies in <15>
-        assert star_condition_at(x60, 5).ok
+        assert star_condition_at(x60, 5) is None
 
     def test_weight_one_position_rejected(self, x60_dim50):
         with pytest.raises(ValueError, match="weight > 1"):
@@ -503,7 +501,7 @@ class TestStarCondition:
             WeightSystem((3, 3, 5, 5), 15),
             WeightSystem((2, 4, 5, 5, 5), 20),
         ):
-            assert star_condition(fermat_support(ws)).ok
+            assert star_condition(fermat_support(ws)) is None
 
 
 class TestQuasiSmooth:
@@ -567,15 +565,14 @@ class TestQuasiSmooth:
 class TestUniversalStar:
     def test_blocked_position_with_witness(self):
         ws = WeightSystem((1, 1, 3, 4, 4, 5), 60)
-        check = universal_star_at(ws, 2)
-        assert not check.ok
-        assert check == StarCheck(False, (0, 0, 1, 3, 0, 9), 2)
-        assert sum(map(mul, check.monomial, ws.weights)) == 60
+        row, i = universal_star_at(ws, 2)
+        assert (row, i) == ((0, 0, 1, 3, 0, 9), 2)
+        assert sum(map(mul, row, ws.weights)) == 60
 
     def test_open_positions(self):
         ws = WeightSystem((1, 1, 2, 3, 6), 12)
         for i in (2, 3, 4):
-            assert universal_star_at(ws, i).ok
+            assert universal_star_at(ws, i) is None
 
     def test_weight_one_rejected(self):
         with pytest.raises(ValueError, match="weight > 1"):
@@ -591,13 +588,13 @@ class TestUniversalStar:
         for ws in systems:
             rows = all_monomials(ws.weights, ws.degree)
             open_positions = [
-                i for i, a in enumerate(ws.weights) if a > 1 and universal_star_at(ws, i).ok
+                i for i, a in enumerate(ws.weights) if a > 1 and universal_star_at(ws, i) is None
             ]
             for _ in range(20):
                 subset = rng.sample(rows, rng.randint(1, len(rows)))
                 support = Support.of(ws.weights, ws.degree, subset)
                 for i in open_positions:
-                    assert star_condition_at(support, i).ok, (ws, i, subset)
+                    assert star_condition_at(support, i) is None, (ws, i, subset)
 
     @settings(max_examples=400)
     @given(universal_star_systems())
@@ -646,7 +643,7 @@ class TestUniversalStar:
             return real(target, gens)
 
         monkeypatch.setattr(monomial, "_representable", counted)
-        assert universal_star_at(ws, len(primes)).ok
+        assert universal_star_at(ws, len(primes)) is None
         # the 190 pairs tested against a_i; no pair blocks, so no remainder is tested
         assert sum(1 for target, _ in calls if target == 1000003) == 190
         assert len(calls) == 190
@@ -658,12 +655,12 @@ class TestUniversalStar:
         # odd, so no remainder is even and none of them can block
         ws = WeightSystem((3, *range(4, 27, 2)), 184)
         calls = count_membership_tests(monkeypatch)
-        assert universal_star_at(ws, 0).ok
+        assert universal_star_at(ws, 0) is None
         assert calls == []
 
     def test_sizes_zero_and_one_block_in_closed_form(self):
-        assert universal_star_at(WeightSystem((2, 3, 4), 7), 1).monomial == (2, 1, 0)
-        assert universal_star_at(WeightSystem((2, 3), 3), 1).monomial == (0, 1)
+        assert universal_star_at(WeightSystem((2, 3, 4), 7), 1) == ((2, 1, 0), 1)
+        assert universal_star_at(WeightSystem((2, 3), 3), 1) == ((0, 1), 1)
         assert monomial._blocking_subset(7, 3, (2, 4)) == ((2,), 2)
         assert monomial._blocking_subset(3, 3, (2,)) == ((), 0)
         assert monomial._blocking_subset(8, 3, ()) is None
@@ -674,13 +671,43 @@ class TestUniversalStar:
         for i, a in enumerate(ws.weights):
             if a <= 1:
                 continue
-            check = universal_star_at(ws, i)
-            if check.ok:
+            violation = universal_star_at(ws, i)
+            if violation is None:
                 continue
-            rows = [check.monomial]
+            rows = [violation[0]]
             rows += fermat_support(ws).monomials
             support = Support.of(ws.weights, ws.degree, rows)
-            assert not star_condition_at(support, i).ok
+            assert star_condition_at(support, i) is not None
+
+
+@pytest.mark.parametrize(
+    "check, source, args, expected",
+    [
+        (star_condition, "x60", (), ((17, 1, 1, 0, 0, 0), 1)),
+        (star_condition, fermat_support(WeightSystem((1, 1, 2, 3), 6)), (), None),
+        (star_condition_at, "x60", (1,), ((17, 1, 1, 0, 0, 0), 1)),
+        (star_condition_at, "x60", (2,), ((17, 1, 1, 0, 0, 0), 2)),
+        (star_condition_at, "x60", (3,), None),
+        (star_condition_at, "x60", (5,), None),
+        (universal_star_at, WeightSystem((1, 1, 3, 4, 4, 5), 60), (2,), ((0, 0, 1, 3, 0, 9), 2)),
+        (universal_star_at, WeightSystem((1, 1, 2, 3, 6), 12), (2,), None),
+    ],
+    ids=[
+        "support_x60", "support_fermat", "at_x60_1", "at_x60_2", "at_x60_3", "at_x60_5",
+        "universal_blocked", "universal_open",
+    ],
+)
+def test_star_checks_return_violation_or_none(request, check, source, args, expected):
+    # every star check returns None, or the first violation (row, i): a row of
+    # weighted degree d with exponent 1 at position i
+    if source == "x60":
+        source = request.getfixturevalue("x60")
+    violation = check(source, *args)
+    assert violation == expected
+    if violation is not None:
+        row, i = violation
+        assert row[i] == 1
+        assert sum(map(mul, row, source.weights)) == source.degree
 
 
 class TestPositionRange:
