@@ -135,10 +135,8 @@ def alpha(ws: str) -> None:
     if plan.ok:
         click.echo(f"cover: universal route found ({plan.cover_count} cover steps)")
     else:
-        click.echo(
-            f"cover: no universal route found (witness {plan.witness} "
-            f"at position {plan.witness_index})"
-        )
+        row, i = plan.witness
+        click.echo(f"cover: no universal route found (witness {row} at position {i})")
     if bound is None:
         click.echo("alpha: unavailable (no smooth cover established)")
         return
@@ -201,12 +199,10 @@ def cover_plan(ws: str, support_path: str | None, universal: bool) -> None:
                 f"with {step.monomial}"
             )
     if plan.ok:
-        click.echo(f"plan: success, final weights {tuple(plan.final_weights)}")
+        click.echo(f"plan: success, final weights {plan.final_weights}")
         return
-    click.echo(
-        f"plan: failure, monomial {plan.witness} at position "
-        f"{plan.witness_index} over weights {tuple(plan.witness_weights)}"
-    )
+    row, i = plan.witness
+    click.echo(f"plan: failure, monomial {row} at position {i} over weights {plan.final_weights}")
     sys.exit(EXIT_CONDITION)
 
 

@@ -363,14 +363,15 @@ def _representable(target: int, gens: tuple[int, ...]) -> bool:
 
 
 def _checked_inputs(target: int, generators: Iterable[int]) -> tuple[int, ...]:
-    """Sorted distinct generators; ValueError unless target is an int and
-    every generator a positive int (type, not isinstance: a bool is neither)."""
+    """The generators as a tuple, read once and in order; ValueError unless
+    target is an int and every generator a positive int (type, not
+    isinstance: a bool is neither)."""
     if type(target) is not int:
         raise ValueError(f"target must be an integer, got {target!r}")
     gens = tuple(generators)
     if any(type(g) is not int or g <= 0 for g in gens):
         raise ValueError(f"generators must be positive integers, got {gens!r}")
-    return tuple(sorted(set(gens)))
+    return gens
 
 
 def semigroup_representable(target: int, generators: Iterable[int]) -> bool:
@@ -378,7 +379,7 @@ def semigroup_representable(target: int, generators: Iterable[int]) -> bool:
     gens = _checked_inputs(target, generators)
     if target < 0:
         return False
-    return _representable(target, gens)
+    return _representable(target, tuple(sorted(set(gens))))
 
 
 def _least_coefficient(remaining: int, g: int, rest: tuple[int, ...]) -> int | None:
@@ -402,7 +403,7 @@ def _least_coefficient(remaining: int, g: int, rest: tuple[int, ...]) -> int | N
     return best
 
 
-def semigroup_decomposition(target: int, generators: tuple[int, ...]) -> tuple[int, ...] | None:
+def semigroup_decomposition(target: int, generators: Iterable[int]) -> tuple[int, ...] | None:
     """Lexicographically smallest m with sum(m_t * generators[t]) = target.
 
     Generators are taken in the given order (duplicates allowed); the
@@ -410,7 +411,7 @@ def semigroup_decomposition(target: int, generators: tuple[int, ...]) -> tuple[i
     Returns None when target is not representable: then the first
     coefficient already has no solution (or there are no generators).
     """
-    _checked_inputs(target, generators)
+    generators = _checked_inputs(target, generators)
     if target < 0:
         return None
     coeffs: list[int] = []

@@ -169,6 +169,11 @@ def _in_query(ws: WeightSystem, query: EnumerationQuery) -> bool:
     )
 
 
+def _searchable(query: EnumerationQuery) -> bool:
+    """Some search answers query: index 1, or a degree bound (index > 1 is unbounded without one)."""
+    return query.index == 1 or query.d_max is not None
+
+
 def _exhaustive(query: EnumerationQuery) -> bool:
     """The search for query lists every system: index 1 without a degree bound."""
     return query.index == 1 and query.d_max is None
@@ -180,7 +185,7 @@ def enumerate_systems(query: EnumerationQuery) -> EnumerationResult:
     Index 1 needs no degree bound; a given d_max truncates the catalog and
     marks it incomplete.  Index > 1 requires d_max.
     """
-    if query.index > 1 and query.d_max is None:
+    if not _searchable(query):
         raise ValueError("enumeration with index > 1 is unbounded; an explicit d_max is required")
     systems = _lcm_systems(query.num_weights, query.index, query.d_max)
     unique = sorted(set(systems))
@@ -265,6 +270,8 @@ def load_catalog(path: str | Path, query: EnumerationQuery | None = None) -> Enu
             raise ValueError(f"complete must be true or false, got {json.dumps(complete)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"catalog schema error: {exc}") from exc
+    if not _searchable(stored_query):
+        raise CatalogError(f"catalog query {stored_query} has index > 1 and no d_max; no search answers it")
     if list(systems) != sorted(set(systems)):
         raise CatalogError("catalog systems are not in canonical sorted order")
     if complete and not _exhaustive(stored_query):

@@ -413,14 +413,16 @@ class CoverStep:
 
 @dataclass(frozen=True)
 class CoverPlan:
-    """Ordered steps; on failure the witness is reported in witness_weights coordinates."""
+    """Ordered steps and the weights where they stopped: all ones on success,
+    else the coordinates of the witness, a star-check violation (row, i)."""
 
     steps: tuple[CoverStep, ...]
-    ok: bool
-    witness: Row | None = None
-    witness_index: int | None = None
-    witness_weights: tuple[int, ...] | None = None
-    final_weights: tuple[int, ...] | None = None
+    final_weights: tuple[int, ...]
+    witness: tuple[Row, int] | None
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
     @property
     def cover_count(self) -> int:
@@ -470,16 +472,7 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
         _check_degrees(weights, degree, rows)
         steps.append(CoverStep(kind="cover", index=i, permutation=perm))
         violation = _first_violation(weights, rows)
-    if violation is not None:
-        row, index = violation
-        return CoverPlan(
-            steps=tuple(steps),
-            ok=False,
-            witness=row,
-            witness_index=index,
-            witness_weights=weights,
-        )
-    return CoverPlan(steps=tuple(steps), ok=True, final_weights=weights)
+    return CoverPlan(tuple(steps), weights, violation)
 
 
 @lru_cache(maxsize=UNIVERSAL_STEP_CACHE_SIZE)
@@ -542,16 +535,11 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
             i += k
         else:  # every value blocks; the first position the scan examines is the lowest
             weights = (1,) * ones + tuple(a for a, k in copies.items() for _ in range(k))
-            return CoverPlan(
-                steps=tuple(steps),
-                ok=False,
-                witness=_universal_witness(weights, ones, *blocked_by[weights[ones]]),
-                witness_index=ones,
-                witness_weights=weights,
-            )
+            witness = _universal_witness(weights, ones, *blocked_by[weights[ones]])
+            return CoverPlan(tuple(steps), weights, (witness, ones))
         del copies[a]
         for _ in range(k):
             steps.append(_universal_step(ones, i, n))
             i += 1
             ones += 1
-    return CoverPlan(steps=tuple(steps), ok=True, final_weights=(1,) * n)
+    return CoverPlan(tuple(steps), (1,) * n, None)

@@ -318,10 +318,11 @@ def _eval_smooth_cover(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | N
             None,
             plan,
         )
+    row, i = plan.witness
     return (
-        f"no smooth cover found for {scope}: monomial {list(plan.witness)} "
-        f"at position {plan.witness_index} blocks the semigroup condition over "
-        f"weights {list(plan.witness_weights)}",
+        f"no smooth cover found for {scope}: monomial {list(row)} "
+        f"at position {i} blocks the semigroup condition over "
+        f"weights {list(plan.final_weights)}",
         None,
         plan,
     )

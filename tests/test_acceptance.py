@@ -181,9 +181,9 @@ def test_c08_cover_planner_negative_witnesses(fourfold_catalog):
     for ws in resistant + [WeightSystem((1,) * 49 + (3, 4, 5), 60)]:
         plan = plan_cover_universal(ws)
         assert not plan.ok, ws
-        assert plan.witness is not None
-        assert plan.witness[plan.witness_index] == 1
-        assert sum(map(mul, plan.witness, plan.witness_weights)) == ws.degree
+        row, i = plan.witness
+        assert row[i] == 1
+        assert sum(map(mul, row, plan.final_weights)) == ws.degree
 
     # the two reference rows that disagree with the computed resistant list
     # are defective: one is not a catalog entry at all, the other is covered

@@ -513,6 +513,16 @@ class TestSemigroupDecomposition:
         gens = (3, 3, 4)
         assert semigroup_decomposition(10, gens) == naive_decomposition(10, gens)
 
+    @pytest.mark.parametrize(
+        "target, gens, expected",
+        [(5, (5,), (1,)), (7, (2, 3), (2, 1)), (10, (3, 3, 4), (0, 2, 1)), (9, (5, 6, 7), None)],
+    )
+    def test_generators_in_any_iterable(self, target, gens, expected):
+        # the generators are read once, so an iterator answers as its tuple does
+        for make in (tuple, list, iter, lambda g: (x for x in g)):
+            assert semigroup_decomposition(target, make(gens)) == expected
+            assert semigroup_representable(target, make(gens)) == (expected is not None)
+
     @staticmethod
     def _count_pair_tests(monkeypatch):
         calls = []
@@ -739,8 +749,9 @@ def test_top_level_names_are_used():
 
 
 def test_dataclass_fields_are_read():
-    # a dataclass field that is never read as .field is dead data; ast, unlike
-    # tokenize on Python 3.11, also sees the attributes read inside f-strings
+    # a dataclass field or a property of any class that is never read as
+    # .name is dead data; ast, unlike tokenize on Python 3.11, also sees the
+    # attributes read inside f-strings
     root = Path(wfano.__file__).resolve().parents[2]
     read = {
         node.attr
@@ -755,11 +766,13 @@ def test_dataclass_fields_are_read():
             if not isinstance(node, ast.ClassDef):
                 continue
             decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-                continue
-            unread += [
-                f"{path.name}:{node.name}.{field.target.id}"
-                for field in node.body
-                if isinstance(field, ast.AnnAssign) and field.target.id not in read
+            is_dataclass = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+            fields = [f.target.id for f in node.body if is_dataclass and isinstance(f, ast.AnnAssign)]
+            properties = [
+                f.name
+                for f in node.body
+                if isinstance(f, ast.FunctionDef)
+                and any(isinstance(d, ast.Name) and d.id == "property" for d in f.decorator_list)
             ]
+            unread += [f"{path.name}:{node.name}.{name}" for name in fields + properties if name not in read]
     assert unread == []

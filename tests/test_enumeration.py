@@ -318,6 +318,16 @@ class TestCatalogPersistence:
         save_catalog(result, path)
         assert load_catalog(path) == result
 
+    def test_stored_query_must_be_searchable(self, tmp_path):
+        # enumerate_systems refuses index > 1 without d_max, so no catalog answers it
+        query = EnumerationQuery(4, 2)
+        with pytest.raises(ValueError, match="an explicit d_max is required"):
+            enumerate_systems(query)
+        path = tmp_path / "unbounded.json"
+        save_catalog(EnumerationResult(query, (WeightSystem((1, 1, 2, 2), 4),), complete=False), path)
+        with pytest.raises(CatalogError, match="has index > 1 and no d_max; no search answers it"):
+            load_catalog(path)
+
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_must_be_an_integer(self, surface_catalog, tmp_path, version):
         path = tmp_path / "typed_version.json"

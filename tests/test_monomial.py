@@ -172,20 +172,13 @@ def naive_plan_cover_universal(ws):
             if first_blocked is None:
                 first_blocked = violation
         else:
-            witness, blocked_index = first_blocked
-            return CoverPlan(
-                steps=tuple(steps),
-                ok=False,
-                witness=witness,
-                witness_index=blocked_index,
-                witness_weights=current.weights,
-            )
+            return CoverPlan(steps=tuple(steps), final_weights=current.weights, witness=first_blocked)
         raw = list(current.weights)
         raw[i] = 1
         perm = tuple(sorted(range(len(raw)), key=lambda j: (raw[j], j)))
         steps.append(CoverStep(kind="cover", index=i, permutation=perm))
         current = WeightSystem(tuple(raw[p] for p in perm), current.degree)
-    return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
+    return CoverPlan(steps=tuple(steps), final_weights=current.weights, witness=None)
 
 
 def some_cover_order_succeeds(ws):
@@ -269,15 +262,7 @@ def naive_plan_cover_for_support(support):
         current = Support.of(tuple(raw[p] for p in perm), current.degree, rows)
         steps.append(CoverStep(kind="cover", index=i, permutation=perm))
         violation = naive_star_violation(current)
-    if violation is not None:
-        return CoverPlan(
-            steps=tuple(steps),
-            ok=False,
-            witness=violation[0],
-            witness_index=violation[1],
-            witness_weights=current.weights,
-        )
-    return CoverPlan(steps=tuple(steps), ok=True, final_weights=current.weights)
+    return CoverPlan(steps=tuple(steps), final_weights=current.weights, witness=violation)
 
 
 def fermat_support_in_source_order(weights, degree):
@@ -860,16 +845,15 @@ class TestSupportPlanner:
         plan = plan_cover_for_support(x60)
         assert not plan.ok
         assert plan.steps == ()
-        assert plan.witness == (17, 1, 1, 0, 0, 0)
-        assert plan.witness_index == 1
-        assert plan.witness_weights == (3, 4, 5, 4, 15, 30)
+        assert plan.witness == ((17, 1, 1, 0, 0, 0), 1)
+        assert plan.final_weights == (3, 4, 5, 4, 15, 30)
 
     def test_dim50_fails_before_any_step(self, x60_dim50):
         plan = plan_cover_for_support(x60_dim50)
         assert not plan.ok
         assert plan.steps == ()
         assert plan.witness is not None
-        assert plan.witness[49:] in {(2, 1, 10), (1, 13, 1)}
+        assert plan.witness[0][49:] in {(2, 1, 10), (1, 13, 1)}
 
     def test_cover_count_equals_heavy_positions(self, surface_catalog, threefold_catalog):
         for result in (surface_catalog, threefold_catalog):
@@ -886,32 +870,28 @@ class TestSupportPlanner:
         assert len(systems) == 695
         text = "\n".join(repr(plan_cover_for_support(fermat_support(ws))) for ws in systems)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == "a9a7c6cce2ca1b81f951ff156c02f8c06546c9fe5226debf807137bd5a6b1994"
+        assert digest == "b74409f52dbe619537226713ab607e34e6ce7b6e6e3aaeabf63ff967650e10ff"
 
     def test_fixture_plans_match_support_based_planner(self, x60, x60_dim50):
         for support in (x60, x60_dim50):
             assert plan_cover_for_support(support) == naive_plan_cover_for_support(support)
         assert plan_cover_for_support(x60) == CoverPlan(
             steps=(),
-            ok=False,
-            witness=(17, 1, 1, 0, 0, 0),
-            witness_index=1,
-            witness_weights=(3, 4, 5, 4, 15, 30),
+            final_weights=(3, 4, 5, 4, 15, 30),
+            witness=((17, 1, 1, 0, 0, 0), 1),
         )
         assert plan_cover_for_support(x60_dim50) == CoverPlan(
             steps=(),
-            ok=False,
-            witness=(0,) * 49 + (2, 1, 10),
-            witness_index=50,
-            witness_weights=(1,) * 49 + (3, 4, 5),
+            final_weights=(1,) * 49 + (3, 4, 5),
+            witness=((0,) * 49 + (2, 1, 10), 50),
         )
 
     def test_one_variable_cover(self):
         plan = plan_cover_for_support(Support.of((3,), 6, [(2,)]))
         assert plan == CoverPlan(
             steps=(CoverStep(kind="cover", index=0, permutation=(0,)),),
-            ok=True,
             final_weights=(1,),
+            witness=None,
         )
         covered, perm = apply_cover(Support.of((3,), 6, [(2,)]), 0)
         assert covered == Support.of((1,), 6, [(6,)])
@@ -977,9 +957,8 @@ class TestUniversalPlanner:
             ("cover", 4),
             ("cover", 5),
         ]
-        assert plan.witness_weights == (1, 1, 3, 4, 4, 5)
-        assert plan.witness_index == 2
-        assert plan.witness == (0, 0, 1, 3, 0, 9)
+        assert plan.final_weights == (1, 1, 3, 4, 4, 5)
+        assert plan.witness == ((0, 0, 1, 3, 0, 9), 2)
 
     def test_fourfold_and_lifted_plans_pinned(self, fourfold_catalog):
         # every step, covered position, permutation and witness of the 661
@@ -988,7 +967,7 @@ class TestUniversalPlanner:
         systems += [WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree) for ws in systems]
         text = "\n".join(repr(plan_cover_universal(ws)) for ws in systems)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == "9423c348f226ff26a4eea3562f6623ca707a74ac87ceb89360e9a3e6f92c406a"
+        assert digest == "f506b458523bb1fd395b59fc9052809c9edd9d25c61ec8903f8455e287156342"
 
     def test_cover_steps_built_once_per_distinct_step(self, fourfold_catalog, monkeypatch):
         # a universal cover step depends only on (ones, position, length), so a
@@ -1066,8 +1045,9 @@ class TestUniversalPlanner:
         ws = WeightSystem((1,) * 49 + (3, 4, 5), 60)
         plan = plan_cover_universal(ws)
         assert not plan.ok
-        assert sum(map(mul, plan.witness, plan.witness_weights)) == 60
-        assert plan.witness[plan.witness_index] == 1
+        row, i = plan.witness
+        assert sum(map(mul, row, plan.final_weights)) == 60
+        assert row[i] == 1
 
 
 def replayed_weights(weights, plan):
@@ -1101,5 +1081,4 @@ class TestPermutationReplay:
             for support in [fermat_support(ws) for ws in systems] + [x60, x60_dim50]
         ]
         for weights, plan in plans:
-            expected = plan.final_weights if plan.ok else plan.witness_weights
-            assert replayed_weights(weights, plan) == expected, plan
+            assert replayed_weights(weights, plan) == plan.final_weights, plan

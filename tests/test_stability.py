@@ -825,7 +825,7 @@ def test_fivefolds_that_reached_the_residue_table_pinned():
         ws = WeightSystem.of(map(int, weights.split(",")), int(degree))
         lines.append(f"{spec} {classify(ws).verdict.value} {plan_cover_universal(ws)!r}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "f74a6bd6477dc687ed38a5aa5dbd96c2ed01912471eb7b9bef4af104cc19919f"
+    assert digest == "7422b6707f69516b2fb3939607cd1c687ce4ff46cbe7b9b472665e3598c78918"
 
 
 def test_well_formedness_stays_linear():
