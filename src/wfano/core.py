@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class WeightSystem:
     """Ascending weights a_0 <= ... <= a_n together with a degree d."""
 
@@ -201,8 +201,10 @@ RULE_STAR_PAIR = "star_pair"       # star, a_i=2,a_j=a: -d-1+a_i+c*d/a_i <= -a_j
 RULE_GENERAL_PAIR = "general_pair"  # a_i > 1:      -d-1+a_i+d/a_i    <= -a_j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InequalityCheck:
+    """One ordered pair (i, j), the rule it is routed to, and the sides lhs <= rhs."""
+
     rule: str
     i: int
     j: int
@@ -214,7 +216,7 @@ class InequalityCheck:
         return self.lhs <= self.rhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InequalityReport:
     """Exact evaluation of the pairwise threshold inequalities for one system.
 

@@ -236,7 +236,13 @@ def render_table(result: EnumerationResult, format: str = "md") -> str:
 
 
 def save_catalog(result: EnumerationResult, path: str | Path) -> None:
-    """Write the versioned catalog envelope; load_catalog inverts it exactly."""
+    """Write the versioned catalog envelope; load_catalog inverts it exactly.
+
+    ValueError, before the file is opened, when no search answers the query
+    (index > 1 without d_max): load_catalog would refuse the file.
+    """
+    if not _searchable(result.query):
+        raise ValueError(f"catalog query {result.query} has index > 1 and no d_max; no search answers it")
     payload = {
         "version": CATALOG_VERSION,
         "query": {**vars(result.query), **_CATALOG_FILTERS},

@@ -37,8 +37,8 @@ from .core import WeightSystem, _representable, semigroup_decomposition
 # lexicographic, duplicates collapsed
 Row = tuple[int, ...]
 
-# distinct universal cover steps kept for sharing across plans; a fourfold
-# catalog pass needs 20, its lifts to dimension 5 another 23
+# distinct universal cover steps kept for sharing across plans of both
+# planners; a fourfold catalog pass needs 20, its lifts to dimension 5 another 23
 UNIVERSAL_STEP_CACHE_SIZE = 256
 # rows one substitution may add: one per power of M it expands, before
 # duplicates collapse; the shipped and catalog supports expand at most 47
@@ -58,7 +58,7 @@ def _require_exponents(row: Row, error: type[ValueError]) -> None:
         raise error(f"exponents must be non-negative integers, got {row!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Support:
     """Duplicate-free monomials of a fixed weighted degree, in source coordinates."""
 
@@ -399,7 +399,7 @@ def substitute(support: Support, i: int, replacement: Row) -> Support:
     return Support.of(support.weights, support.degree, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverStep:
     """One planner action at position i = index: a cyclic cover z_i -> z_i**a_i
     (a_i becomes 1; permutation re-sorts the ambient, perm[new] = old) or a
@@ -411,7 +411,7 @@ class CoverStep:
     permutation: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverPlan:
     """Ordered steps and the weights where they stopped: all ones on success,
     else the coordinates of the witness, a star-check violation (row, i)."""
@@ -446,6 +446,10 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
     row operation shared with apply_cover and substitute, followed by a check
     that every row keeps the weighted degree and by the star check that
     star_condition runs.
+
+    A cover of a sorted ambient keeps the order, so its step is the one the
+    universal planner caches and shares; only a cover that re-sorts an
+    ambient given in source order builds its own.
     """
     weights, degree, rows = support.weights, support.degree, support.monomials
     violation = _first_violation(weights, rows)
@@ -468,9 +472,12 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
             violation = _first_violation(weights, rows)
             if violation is not None:
                 break
+        step = _universal_step(weights.count(1), i, len(weights))
         weights, rows, perm = _cover_rows(weights, rows, i)
         _check_degrees(weights, degree, rows)
-        steps.append(CoverStep(kind="cover", index=i, permutation=perm))
+        if step.permutation != perm:  # only on an ambient still in source order
+            step = CoverStep(kind="cover", index=i, permutation=perm)
+        steps.append(step)
         violation = _first_violation(weights, rows)
     return CoverPlan(tuple(steps), weights, violation)
 
@@ -480,7 +487,8 @@ def _universal_step(ones: int, i: int, n: int) -> CoverStep:
     """The cover of position i behind `ones` leading ones among n variables.
 
     The covered weight 1 moves behind the other ones, stable on ties.  A step
-    depends on these three integers alone and is frozen, so plans share it.
+    depends on these three integers alone and is frozen, so plans share it,
+    support plans too for every cover of a sorted ambient.
     """
     return CoverStep(
         kind="cover",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .core import (
@@ -86,7 +87,7 @@ COVER_ASSUMPTION = "smooth cover exists for a general member"
 SUPPORT_COVER_ASSUMPTION = "smooth cover exists for the given member"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlphaBound:
     """A lower bound for the alpha invariant, not its value."""
 
@@ -150,7 +151,7 @@ def aut_finite(weights: Sequence[int], multidegree: Sequence[int]) -> bool:
     return sum(degrees) > sum(ws[-(c + 1):])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FermatStability:
     """Verdict for the member cut out by the pure-power polynomial."""
 
@@ -183,7 +184,7 @@ def _fermat_stability(ws: WeightSystem, finite: bool) -> FermatStability:
 # criteria
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """One applied criterion; conclusion and verdict recompute from inputs.
 
@@ -236,7 +237,10 @@ def make_entry(criterion: str, inputs: dict, system: WeightSystem | None = None)
             system = WeightSystem.of(inputs["weights"], inputs["degree"])
             require_preconditions(system, "criterion undefined for")
             if criterion == CRIT_COVER and inputs.get("mode") == "support":
-                require_member(_recorded_support(inputs), system)
+                support = _recorded_support(inputs)
+                require_member(support, system)
+                # the gated member is the one the planner covers: built once
+                evaluate = partial(_eval_smooth_cover, support=support)
         conclusion, verdict, payload = evaluate(system, inputs)
     except (KeyError, TypeError) as exc:  # a missing key or a value of the wrong shape
         raise ValueError(f"malformed {criterion} record: {exc!r}") from exc
@@ -304,12 +308,15 @@ def _eval_fermat_margin(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | 
     )
 
 
-def _eval_smooth_cover(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, CoverPlan]:
+def _eval_smooth_cover(
+    ws: WeightSystem, inputs: dict, support: Support | None = None
+) -> tuple[str, Verdict | None, CoverPlan]:
+    """support, when given, is the support-mode member already built from inputs."""
     if _recorded(inputs, "mode", str, COVER_MODES) == "universal":
         plan = plan_cover_universal(ws)
         scope = "every quasi-smooth member"
     else:
-        plan = plan_cover_for_support(_recorded_support(inputs))
+        plan = plan_cover_for_support(_recorded_support(inputs) if support is None else support)
         scope = "the given member"
     if plan.ok:
         return (
@@ -468,8 +475,12 @@ _CRITERIA: dict[str, tuple[str, Evaluator]] = {
 # the combined pipeline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityReport:
+    """The joined verdict for one member class of one system, the trace it
+    joins, and the alpha bound and finiteness flag that classify read from
+    that trace (None when no entry gave them)."""
+
     system: WeightSystem
     member_class: str
     verdict: Verdict

@@ -323,10 +323,25 @@ class TestCatalogPersistence:
         query = EnumerationQuery(4, 2)
         with pytest.raises(ValueError, match="an explicit d_max is required"):
             enumerate_systems(query)
+        # save_catalog refuses to write such a file, so drop d_max from a saved one
         path = tmp_path / "unbounded.json"
-        save_catalog(EnumerationResult(query, (WeightSystem((1, 1, 2, 2), 4),), complete=False), path)
+        bounded = EnumerationQuery(4, 2, d_max=4)
+        save_catalog(EnumerationResult(bounded, (WeightSystem((1, 1, 2, 2), 4),), complete=False), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["query"]["d_max"] = None
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(CatalogError, match="has index > 1 and no d_max; no search answers it"):
             load_catalog(path)
+
+    def test_unsearchable_query_is_not_saved(self, tmp_path):
+        # the brute-force oracle labels its systems with a query that has no
+        # d_max; a file of it would not load back, so none is written
+        result = enumerate_bruteforce(4, 2, 6)
+        assert len(result.systems) == 9 and result.query == EnumerationQuery(4, 2)
+        path = tmp_path / "oracle.json"
+        with pytest.raises(ValueError, match="has index > 1 and no d_max; no search answers it"):
+            save_catalog(result, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_must_be_an_integer(self, surface_catalog, tmp_path, version):

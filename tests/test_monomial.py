@@ -872,6 +872,34 @@ class TestSupportPlanner:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == "b74409f52dbe619537226713ab607e34e6ce7b6e6e3aaeabf63ff967650e10ff"
 
+    def test_sorted_covers_share_universal_steps(self, fourfold_catalog, monkeypatch):
+        # a cover of a sorted ambient keeps its order, so the support planner
+        # takes the universal planner's cached step: the 3,689 covers of the
+        # fourfolds' Fermat plans build 6 steps, the 4,350 of their lifts 7
+        built = []
+        real = CoverStep.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args or kwargs)
+            real(self, *args, **kwargs)
+
+        lifts = [WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree) for ws in fourfold_catalog.systems]
+        monkeypatch.setattr(CoverStep, "__init__", counted)
+        for systems, covers, steps in ((fourfold_catalog.systems, 3689, 6), (lifts, 4350, 7)):
+            monomial._universal_step.cache_clear()
+            built.clear()
+            plans = [plan_cover_for_support(fermat_support(ws)) for ws in systems]
+            assert sum(plan.cover_count for plan in plans) == covers
+            assert len(built) == steps
+            for plan in plans:
+                n = len(plan.final_weights)
+                assert all(step is monomial._universal_step(step.index, step.index, n) for step in plan.steps)
+        # a source out of order builds the one cover that re-sorts it, then shares
+        plan = plan_cover_for_support(fermat_support_in_source_order((3, 2, 5, 2), 30))
+        assert plan.steps[0].permutation == (1, 3, 0, 2)
+        assert plan.steps[0] is not monomial._universal_step(0, 1, 4)
+        assert all(step is monomial._universal_step(step.index, step.index, 4) for step in plan.steps[1:])
+
     def test_fixture_plans_match_support_based_planner(self, x60, x60_dim50):
         for support in (x60, x60_dim50):
             assert plan_cover_for_support(support) == naive_plan_cover_for_support(support)

@@ -1,0 +1,72 @@
+"""The records built once per system or per pair are slotted: no instance dict.
+
+A catalog pass keeps one of these per system, per trace entry, per cover step
+or per ordered pair of weights, so an instance dict on each would cost memory
+in proportion to the catalog.
+"""
+
+import pytest
+
+from wfano import (
+    MEMBER_FERMAT,
+    AlphaBound,
+    CoverPlan,
+    CoverStep,
+    FermatStability,
+    InequalityCheck,
+    InequalityReport,
+    StabilityReport,
+    Support,
+    TraceEntry,
+    WeightSystem,
+    check_lemma_ineq,
+    classify,
+    fermat_k_stability,
+    fermat_support,
+    plan_cover_for_support,
+)
+
+SLOTTED = (
+    WeightSystem,
+    Support,
+    CoverStep,
+    CoverPlan,
+    InequalityCheck,
+    InequalityReport,
+    AlphaBound,
+    FermatStability,
+    TraceEntry,
+    StabilityReport,
+)
+
+
+def built_records() -> list:
+    """One instance of each slotted record, built by the pipeline."""
+    ws = WeightSystem((1, 1, 1, 1, 1, 4), 8)
+    report = classify(ws, MEMBER_FERMAT)
+    plan = plan_cover_for_support(fermat_support(ws))
+    inequalities = check_lemma_ineq(ws)
+    return [
+        ws,
+        fermat_support(ws),
+        plan.steps[0],
+        plan,
+        inequalities.checks[0],
+        inequalities,
+        report.alpha,
+        fermat_k_stability(ws),
+        report.trace[0],
+        report,
+    ]
+
+
+@pytest.mark.parametrize("cls", SLOTTED, ids=lambda cls: cls.__name__)
+def test_record_class_defines_slots(cls):
+    assert "__slots__" in vars(cls)
+
+
+def test_built_records_have_no_instance_dict():
+    records = built_records()
+    assert [type(record) for record in records] == list(SLOTTED)
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__

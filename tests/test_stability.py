@@ -676,6 +676,25 @@ class TestHypothesisWork:
         assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
         assert checked == [support]
 
+    def test_recorded_member_built_once(self, monkeypatch):
+        # classify builds the member from its record for the planner; recomputing
+        # the entry builds it once for the member gate, and the planner reuses it
+        built = []
+        real = Support.__post_init__
+
+        def counted(self):
+            built.append(self.weights)
+            real(self)
+
+        support = load_support(FIXTURES / "x60_p3454_15_30.json")
+        monkeypatch.setattr(Support, "__post_init__", counted)
+        report = classify(X60_SYSTEM, MEMBER_ANY, support=support)
+        assert built == [support.weights]
+        built.clear()
+        entry = next(e for e in report.trace if e.inputs.get("mode") == "support")
+        assert recompute_entry(entry) == (entry.conclusion, entry.verdict)
+        assert built == [support.weights]
+
     def test_classify_checks_each_fourfold_once(self, fourfold_catalog, monkeypatch):
         # the classify4 benchmark traffic: per system, the standing check and
         # well-formedness test of classify, then the index-one check of the
