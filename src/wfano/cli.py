@@ -190,14 +190,11 @@ def cover_plan(ws: str, support_path: str | None, universal: bool) -> None:
         plan = plan_cover_for_support(support)
     else:
         plan = plan_cover_universal(system)
-    for k, step in enumerate(plan.steps, 1):
-        if step.kind == "cover":
-            click.echo(f"step {k}: cover at position {step.index}")
+    for k, (i, replacement) in enumerate(plan.steps, 1):
+        if replacement is None:
+            click.echo(f"step {k}: cover at position {i}")
         else:
-            click.echo(
-                f"step {k}: substitute at position {step.index} "
-                f"with {step.monomial}"
-            )
+            click.echo(f"step {k}: substitute at position {i} with {replacement}")
     if plan.ok:
         click.echo(f"plan: success, final weights {plan.final_weights}")
         return

@@ -254,10 +254,10 @@ def save_catalog(result: EnumerationResult, path: str | Path) -> None:
 
 def load_catalog(path: str | Path, query: EnumerationQuery | None = None) -> EnumerationResult:
     """Read a catalog file back; optional query echo check signals cache misses."""
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:  # message carries line/column/position
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # message carries the position
         raise CatalogError(f"catalog parse error: {exc}") from exc
     version = payload.get("version") if isinstance(payload, dict) else type(payload).__name__
     if type(version) is not int or version != CATALOG_VERSION:  # true and 1.0 equal 1

@@ -4,8 +4,12 @@ A monomial is its exponent row k_0..k_n, a tuple of non-negative ints
 against an ambient weight list.  A Support records the monomials of a
 weighted hypersurface member with generic coefficients.  Unlike WeightSystem,
 a support keeps the variable order of its source (constructor argument or
-fixture file): violation witnesses are reported in the coordinates of the
-polynomial they came from.
+fixture file), and star_condition reports a violation in the coordinates of
+the polynomial it came from.  A cover plan's steps and witness are not: each
+step's position, and the witness, are in the coordinates the plan has reached
+by then.  A cover sets a_i to 1 and re-sorts the weights stably, equal weights
+keeping their order, so replaying the covered positions from the source
+weights (or calling apply_cover) maps them back.
 
 The star condition: every monomial with exponent 1 at a position of weight
 a_i > 1 must have a_i representable as a non-negative integer combination of
@@ -36,9 +40,12 @@ from .core import WeightSystem, _representable, semigroup_decomposition
 # an exponent row; Support keeps its rows in canonical order: descending
 # lexicographic, duplicates collapsed
 Row = tuple[int, ...]
+# a plan step at position i: (i, None) covers z_i -> z_i**a_i, and (i, M)
+# substitutes z_i -> z_i + lambda*M, M the exponent row of a monomial of degree a_i
+Step = tuple[int, Row | None]
 
-# distinct universal cover steps kept for sharing across plans of both
-# planners; a fourfold catalog pass needs 20, its lifts to dimension 5 another 23
+# cover steps kept for sharing across plans of both planners, one per
+# position; a fourfold catalog pass needs 6, its lifts to dimension 5 one more
 UNIVERSAL_STEP_CACHE_SIZE = 256
 # rows one substitution may add: one per power of M it expands, before
 # duplicates collapse; the shipped and catalog supports expand at most 47
@@ -113,10 +120,10 @@ class Support:
 
 
 def load_support(path: str | Path) -> Support:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SupportError(f"support parse error: {exc}") from exc
     try:
         return Support.of(payload["weights"], payload["degree"], payload["monomials"])
@@ -400,23 +407,12 @@ def substitute(support: Support, i: int, replacement: Row) -> Support:
 
 
 @dataclass(frozen=True, slots=True)
-class CoverStep:
-    """One planner action at position i = index: a cyclic cover z_i -> z_i**a_i
-    (a_i becomes 1; permutation re-sorts the ambient, perm[new] = old) or a
-    substitution z_i -> z_i + lambda*M removing a linear monomial M."""
-
-    kind: str  # "cover" | "substitute"
-    index: int
-    monomial: Row | None = None
-    permutation: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class CoverPlan:
-    """Ordered steps and the weights where they stopped: all ones on success,
-    else the coordinates of the witness, a star-check violation (row, i)."""
+    """Ordered steps (i, None) or (i, M), see Step, and the weights where they
+    stopped: all ones on success, else the coordinates of the witness, a
+    star-check violation (row, i)."""
 
-    steps: tuple[CoverStep, ...]
+    steps: tuple[Step, ...]
     final_weights: tuple[int, ...]
     witness: tuple[Row, int] | None
 
@@ -426,7 +422,13 @@ class CoverPlan:
 
     @property
     def cover_count(self) -> int:
-        return sum(1 for step in self.steps if step.kind == "cover")
+        return sum(1 for _, replacement in self.steps if replacement is None)
+
+
+@lru_cache(maxsize=UNIVERSAL_STEP_CACHE_SIZE)
+def _cover_step(i: int) -> Step:
+    """The step (i, None), one tuple per position shared by the plans of both planners."""
+    return i, None
 
 
 def _check_degrees(weights: tuple[int, ...], degree: int, rows: Sequence[Row]) -> None:
@@ -446,14 +448,10 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
     row operation shared with apply_cover and substitute, followed by a check
     that every row keeps the weighted degree and by the star check that
     star_condition runs.
-
-    A cover of a sorted ambient keeps the order, so its step is the one the
-    universal planner caches and shares; only a cover that re-sorts an
-    ambient given in source order builds its own.
     """
     weights, degree, rows = support.weights, support.degree, support.monomials
     violation = _first_violation(weights, rows)
-    steps: list[CoverStep] = []
+    steps: list[Step] = []
     while violation is None and max(weights) > 1:
         i = weights.index(min(a for a in weights if a > 1))
         linear = next((row for row in rows if row[i] == 1), None)  # first in canonical order
@@ -466,35 +464,17 @@ def plan_cover_for_support(support: Support) -> CoverPlan:
             for j, m in zip(positions, coeffs):
                 exps[j] += m
             replacement = tuple(exps)
-            steps.append(CoverStep(kind="substitute", index=i, monomial=replacement))
+            steps.append((i, replacement))
             rows = _substitute_rows(rows, i, replacement)
             _check_degrees(weights, degree, rows)
             violation = _first_violation(weights, rows)
             if violation is not None:
                 break
-        step = _universal_step(weights.count(1), i, len(weights))
-        weights, rows, perm = _cover_rows(weights, rows, i)
+        weights, rows, _ = _cover_rows(weights, rows, i)
         _check_degrees(weights, degree, rows)
-        if step.permutation != perm:  # only on an ambient still in source order
-            step = CoverStep(kind="cover", index=i, permutation=perm)
-        steps.append(step)
+        steps.append(_cover_step(i))
         violation = _first_violation(weights, rows)
     return CoverPlan(tuple(steps), weights, violation)
-
-
-@lru_cache(maxsize=UNIVERSAL_STEP_CACHE_SIZE)
-def _universal_step(ones: int, i: int, n: int) -> CoverStep:
-    """The cover of position i behind `ones` leading ones among n variables.
-
-    The covered weight 1 moves behind the other ones, stable on ties.  A step
-    depends on these three integers alone and is frozen, so plans share it,
-    support plans too for every cover of a sorted ambient.
-    """
-    return CoverStep(
-        kind="cover",
-        index=i,
-        permutation=(*range(ones), i, *range(ones, i), *range(i + 1, n)),
-    )
 
 
 def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
@@ -530,7 +510,7 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
     for a in ws.weights[ones:]:
         copies[a] = copies.get(a, 0) + 1
     blocked_by: dict[int, tuple[tuple[int, ...], int]] = {}  # value -> (subset, remainder)
-    steps: list[CoverStep] = []
+    steps: list[Step] = []
     while copies:
         i = ones  # the lowest position of the value under test
         for a, k in copies.items():
@@ -547,7 +527,7 @@ def plan_cover_universal(ws: WeightSystem) -> CoverPlan:
             return CoverPlan(tuple(steps), weights, (witness, ones))
         del copies[a]
         for _ in range(k):
-            steps.append(_universal_step(ones, i, n))
+            steps.append(_cover_step(i))
             i += 1
             ones += 1
     return CoverPlan(tuple(steps), (1,) * n, None)

@@ -235,10 +235,10 @@ def test_c09_fourfold_batch_tally(fourfold_catalog, tmp_path):
     assert plan.ok
     route = []
     current = ref210
-    for step in plan.steps:
-        route.append(current.weights[step.index])
+    for i, _ in plan.steps:
+        route.append(current.weights[i])
         raw = list(current.weights)
-        raw[step.index] = 1
+        raw[i] = 1
         current = WeightSystem(tuple(sorted(raw)), current.degree)
     resistant_210 = next(ws for ws in computed if ws.degree == ref210.degree)
     note2 = (

@@ -175,6 +175,13 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "support parse error" in result.output
 
+    def test_support_not_utf8(self, runner, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        result = runner.invoke(cli, ["analyze", "1,1,2,3:6", "--support", str(bad)])
+        assert result.exit_code == 2
+        assert "support parse error" in result.output
+
     def test_support_row_error(self, runner, tmp_path):
         bad = tmp_path / "bad_row.json"
         bad.write_text('{"weights": [1, 2], "degree": 4, "monomials": [[0, 2, 0]]}', encoding="utf-8")

@@ -224,6 +224,12 @@ class TestCatalogPersistence:
         with pytest.raises(CatalogError, match="parse"):
             load_catalog(path)
 
+    def test_non_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(CatalogError, match="catalog parse error: 'utf-8' codec can't decode"):
+            load_catalog(path)
+
     def test_version_mismatch(self, surface_catalog, tmp_path):
         path = tmp_path / "old.json"
         save_catalog(surface_catalog, path)

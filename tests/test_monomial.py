@@ -36,7 +36,7 @@ from wfano import (
     universal_star_at,
 )
 from wfano import monomial
-from wfano.monomial import CoverPlan, CoverStep
+from wfano.monomial import CoverPlan
 
 from conftest import FIXTURES
 from test_core import count_membership_tests, naive_decomposition, naive_representable
@@ -176,7 +176,7 @@ def naive_plan_cover_universal(ws):
         raw = list(current.weights)
         raw[i] = 1
         perm = tuple(sorted(range(len(raw)), key=lambda j: (raw[j], j)))
-        steps.append(CoverStep(kind="cover", index=i, permutation=perm))
+        steps.append((i, None))
         current = WeightSystem(tuple(raw[p] for p in perm), current.degree)
     return CoverPlan(steps=tuple(steps), final_weights=current.weights, witness=None)
 
@@ -237,9 +237,7 @@ def naive_plan_cover_for_support(support):
             exps = [0] * len(weights)
             for j, m in zip(positions, coeffs):
                 exps[j] += m
-            steps.append(
-                CoverStep(kind="substitute", index=i, monomial=tuple(exps))
-            )
+            steps.append((i, tuple(exps)))
             rows = list(current.monomials)
             for mono in current.monomials:
                 t = mono[i]
@@ -260,7 +258,7 @@ def naive_plan_cover_for_support(support):
             row[i] *= weights[i]
             rows.append(tuple(row[p] for p in perm))
         current = Support.of(tuple(raw[p] for p in perm), current.degree, rows)
-        steps.append(CoverStep(kind="cover", index=i, permutation=perm))
+        steps.append((i, None))
         violation = naive_star_violation(current)
     return CoverPlan(steps=tuple(steps), final_weights=current.weights, witness=violation)
 
@@ -365,6 +363,12 @@ class TestMonomialAndSupport:
         path = tmp_path / "broken.json"
         path.write_text("{oops", encoding="utf-8")
         with pytest.raises(SupportError, match="parse"):
+            load_support(path)
+
+    def test_load_non_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SupportError, match="support parse error: 'utf-8' codec can't decode"):
             load_support(path)
 
     def test_load_schema_error(self, tmp_path):
@@ -830,14 +834,13 @@ class TestSupportPlanner:
         assert plan.ok
         assert plan.final_weights == (1, 1, 1, 1)
         assert plan.cover_count == 2
-        assert all(step.kind == "cover" for step in plan.steps)
+        assert all(replacement is None for _, replacement in plan.steps)
 
     def test_substitution_before_cover(self):
         support = Support.of((1, 2), 4, [(4, 0), (2, 1), (0, 2)])
         plan = plan_cover_for_support(support)
         assert plan.ok
-        assert [step.kind for step in plan.steps] == ["substitute", "cover"]
-        assert plan.steps[0].monomial == (2, 0)
+        assert plan.steps == ((1, (2, 0)), (1, None))
         assert plan.cover_count == 1
         assert plan.final_weights == (1, 1)
 
@@ -864,41 +867,13 @@ class TestSupportPlanner:
                 assert plan.final_weights == (1,) * ws.num_weights
 
     def test_fermat_plans_pinned(self, surface_catalog, threefold_catalog, fourfold_catalog):
-        # every step, covered position and permutation of the Fermat support
-        # plans of the 4 surfaces, 30 threefolds and 661 fourfolds
+        # every step and witness of the Fermat support plans of the 4
+        # surfaces, 30 threefolds and 661 fourfolds
         systems = [ws for result in (surface_catalog, threefold_catalog, fourfold_catalog) for ws in result.systems]
         assert len(systems) == 695
         text = "\n".join(repr(plan_cover_for_support(fermat_support(ws))) for ws in systems)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == "b74409f52dbe619537226713ab607e34e6ce7b6e6e3aaeabf63ff967650e10ff"
-
-    def test_sorted_covers_share_universal_steps(self, fourfold_catalog, monkeypatch):
-        # a cover of a sorted ambient keeps its order, so the support planner
-        # takes the universal planner's cached step: the 3,689 covers of the
-        # fourfolds' Fermat plans build 6 steps, the 4,350 of their lifts 7
-        built = []
-        real = CoverStep.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(args or kwargs)
-            real(self, *args, **kwargs)
-
-        lifts = [WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree) for ws in fourfold_catalog.systems]
-        monkeypatch.setattr(CoverStep, "__init__", counted)
-        for systems, covers, steps in ((fourfold_catalog.systems, 3689, 6), (lifts, 4350, 7)):
-            monomial._universal_step.cache_clear()
-            built.clear()
-            plans = [plan_cover_for_support(fermat_support(ws)) for ws in systems]
-            assert sum(plan.cover_count for plan in plans) == covers
-            assert len(built) == steps
-            for plan in plans:
-                n = len(plan.final_weights)
-                assert all(step is monomial._universal_step(step.index, step.index, n) for step in plan.steps)
-        # a source out of order builds the one cover that re-sorts it, then shares
-        plan = plan_cover_for_support(fermat_support_in_source_order((3, 2, 5, 2), 30))
-        assert plan.steps[0].permutation == (1, 3, 0, 2)
-        assert plan.steps[0] is not monomial._universal_step(0, 1, 4)
-        assert all(step is monomial._universal_step(step.index, step.index, 4) for step in plan.steps[1:])
+        assert digest == "5b3b1e2af08a2fe0ad2067feb02b15b6d4fe00edafdd773f016346887d1aca35"
 
     def test_fixture_plans_match_support_based_planner(self, x60, x60_dim50):
         for support in (x60, x60_dim50):
@@ -917,7 +892,7 @@ class TestSupportPlanner:
     def test_one_variable_cover(self):
         plan = plan_cover_for_support(Support.of((3,), 6, [(2,)]))
         assert plan == CoverPlan(
-            steps=(CoverStep(kind="cover", index=0, permutation=(0,)),),
+            steps=((0, None),),
             final_weights=(1,),
             witness=None,
         )
@@ -969,7 +944,7 @@ class TestUniversalPlanner:
             plan = plan_cover_universal(ws)
             assert plan.ok, ws
             assert plan.cover_count == sum(1 for a in ws.weights if a > 1)
-            assert all(step.kind == "cover" for step in plan.steps)
+            assert all(replacement is None for _, replacement in plan.steps)
 
     def test_all_heavy_system(self):
         plan = plan_cover_universal(WeightSystem((2, 4, 5, 5, 5), 20))
@@ -981,50 +956,49 @@ class TestUniversalPlanner:
         plan = plan_cover_universal(WeightSystem((3, 4, 4, 5, 15, 30), 60))
         assert not plan.ok
         # the two top weights come off, then every remaining position blocks
-        assert [(step.kind, step.index) for step in plan.steps] == [
-            ("cover", 4),
-            ("cover", 5),
-        ]
+        assert plan.steps == ((4, None), (5, None))
         assert plan.final_weights == (1, 1, 3, 4, 4, 5)
         assert plan.witness == ((0, 0, 1, 3, 0, 9), 2)
 
     def test_fourfold_and_lifted_plans_pinned(self, fourfold_catalog):
-        # every step, covered position, permutation and witness of the 661
-        # fourfold plans and of their lifts (a..., d : 2d) to dimension 5
+        # every step and witness of the 661 fourfold plans and of their
+        # lifts (a..., d : 2d) to dimension 5
         systems = list(fourfold_catalog.systems)
         systems += [WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree) for ws in systems]
         text = "\n".join(repr(plan_cover_universal(ws)) for ws in systems)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == "f506b458523bb1fd395b59fc9052809c9edd9d25c61ec8903f8455e287156342"
+        assert digest == "013daac4900ee887812dbb7fa8c22b741898b7723a776d1e15e956435f69c8f5"
 
-    def test_cover_steps_built_once_per_distinct_step(self, fourfold_catalog, monkeypatch):
-        # a universal cover step depends only on (ones, position, length), so a
-        # classify pass over the fourfolds builds 20 steps and one over their
-        # lifts (a..., d : 2d) 23 more, against one step per cover otherwise
-        built = []
-        real = CoverStep.__init__
+    def test_cover_steps_shared_across_plans(self, fourfold_catalog):
+        # a cover step is (i, None) for its position i alone, so one cached
+        # tuple per position serves every plan of both planners: a classify
+        # pass and the Fermat support plans (3,689 covers) over the fourfolds
+        # build 6 steps each, over their lifts (a..., d : 2d, 4,350 covers) 7
+        def shared(plans):
+            covers = [step for plan in plans for step in plan.steps if step[1] is None]
+            return all(step is monomial._cover_step(step[0]) for step in covers)
 
-        def counted(self, *args, **kwargs):
-            built.append(args or kwargs)
-            real(self, *args, **kwargs)
-
-        monkeypatch.setattr(CoverStep, "__init__", counted)
-        monomial._universal_step.cache_clear()
-        for ws in fourfold_catalog.systems:
-            classify(ws)
-        assert len(built) == 20
-        built.clear()
-        for ws in fourfold_catalog.systems:
-            classify(WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree))
-        assert len(built) == 23
+        lifts = [WeightSystem(ws.weights + (ws.degree,), 2 * ws.degree) for ws in fourfold_catalog.systems]
+        for systems, covers, misses in ((fourfold_catalog.systems, 3689, 6), (lifts, 4350, 7)):
+            monomial._cover_step.cache_clear()
+            for ws in systems:
+                classify(ws)
+            assert monomial._cover_step.cache_info().misses == misses
+            monomial._cover_step.cache_clear()
+            plans = [plan_cover_for_support(fermat_support(ws)) for ws in systems]
+            assert monomial._cover_step.cache_info().misses == misses
+            assert sum(plan.cover_count for plan in plans) == covers
+            assert shared(plans + [plan_cover_universal(ws) for ws in systems])
+        # a source out of order shares its steps too
+        assert shared(
+            plan_cover_for_support(fermat_support_in_source_order(weights, degree))
+            for weights, degree in (((3, 2, 5, 2), 30), ((4, 2, 3, 2, 1), 12))
+        )
         # 300 distinct steps in one plan: the cache stays within its bound
         ws = WeightSystem((1,) + (2,) * 300, 4)
         plan = plan_cover_universal(ws)
-        assert monomial._universal_step.cache_info().currsize <= monomial.UNIVERSAL_STEP_CACHE_SIZE
-        assert plan.steps == tuple(
-            CoverStep(kind="cover", index=i, permutation=tuple(range(301)))
-            for i in range(1, 301)
-        )
+        assert monomial._cover_step.cache_info().currsize <= monomial.UNIVERSAL_STEP_CACHE_SIZE
+        assert plan.steps == tuple((i, None) for i in range(1, 301))
         assert plan == naive_plan_cover_universal(ws)
 
     @settings(max_examples=400)
@@ -1056,7 +1030,7 @@ class TestUniversalPlanner:
         monkeypatch.setattr(monomial, "universal_star_at", None)
         ws = WeightSystem((1, 2, 3, 5, 10), 30)
         plan = plan_cover_universal(ws)
-        assert plan.ok and [step.index for step in plan.steps] == [4, 4, 3, 4]
+        assert plan.ok and [i for i, _ in plan.steps] == [4, 4, 3, 4]
         assert checks == [
             (2, (3, 5, 10), (3, 5)),
             (3, (2, 5, 10), (2, 5)),
@@ -1079,34 +1053,41 @@ class TestUniversalPlanner:
 
 
 def replayed_weights(weights, plan):
-    """weights after every cover step of plan, each replayed by setting a_i to 1
-    and applying the step's permutation (perm[new] = old); each result must be
-    sorted, with equal weights in their old order."""
-    for step in plan.steps:
-        if step.kind != "cover":
-            continue
-        raw = weights[:step.index] + (1,) + weights[step.index + 1:]
-        perm = step.permutation
-        assert sorted(perm) == list(range(len(raw)))
-        weights = tuple(raw[old] for old in perm)
-        assert all(
-            weights[j] < weights[j + 1] or weights[j] == weights[j + 1] and perm[j] < perm[j + 1]
-            for j in range(len(perm) - 1)
-        ), (plan, step)
+    """weights after every cover step of plan, each replayed by setting the
+    recorded a_i > 1 to 1 and re-sorting stably, as the planners do."""
+    for i, replacement in plan.steps:
+        assert weights[i] > 1, (plan, i)
+        if replacement is None:
+            weights = tuple(sorted(weights[:i] + (1,) + weights[i + 1:]))
     return weights
 
 
+def replayed_support(support, plan):
+    """support after every step of plan: apply_cover for a cover, substitute
+    for a substitution."""
+    for i, replacement in plan.steps:
+        support = apply_cover(support, i)[0] if replacement is None else substitute(support, i, replacement)
+    return support
+
+
 class TestPermutationReplay:
-    """A cover step's permutation is the plan's only record of how later
-    positions map to the source coordinates."""
+    """A plan records positions only, each in the coordinates reached by the
+    steps before it; the stable re-sort after each cover maps them back to
+    the source coordinates."""
 
     def test_every_plan_replays(self, surface_catalog, threefold_catalog, fourfold_catalog, x60, x60_dim50):
         systems = [ws for result in (surface_catalog, threefold_catalog, fourfold_catalog) for ws in result.systems]
         assert len(systems) == 695
         plans = [(ws.weights, plan_cover_universal(ws)) for ws in systems + [x60.system, x60_dim50.system]]
-        plans += [
-            (support.weights, plan_cover_for_support(support))
-            for support in [fermat_support(ws) for ws in systems] + [x60, x60_dim50]
+        supports = [fermat_support(ws) for ws in systems] + [x60, x60_dim50]
+        supports += [
+            fermat_support_in_source_order(weights, degree)
+            for weights, degree in (((3, 2, 5, 2), 30), ((4, 2, 3, 2, 1), 12))
         ]
+        for support in supports:
+            plan = plan_cover_for_support(support)
+            plans.append((support.weights, plan))
+            reached = replayed_support(support, plan)
+            assert reached.weights == plan.final_weights and star_condition(reached) == plan.witness, plan
         for weights, plan in plans:
             assert replayed_weights(weights, plan) == plan.final_weights, plan

@@ -1,8 +1,8 @@
 """The records built once per system or per pair are slotted: no instance dict.
 
-A catalog pass keeps one of these per system, per trace entry, per cover step
-or per ordered pair of weights, so an instance dict on each would cost memory
-in proportion to the catalog.
+A catalog pass keeps one of these per system, per trace entry or per ordered
+pair of weights, so an instance dict on each would cost memory in proportion
+to the catalog.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from wfano import (
     MEMBER_FERMAT,
     AlphaBound,
     CoverPlan,
-    CoverStep,
     FermatStability,
     InequalityCheck,
     InequalityReport,
@@ -29,7 +28,6 @@ from wfano import (
 SLOTTED = (
     WeightSystem,
     Support,
-    CoverStep,
     CoverPlan,
     InequalityCheck,
     InequalityReport,
@@ -49,7 +47,6 @@ def built_records() -> list:
     return [
         ws,
         fermat_support(ws),
-        plan.steps[0],
         plan,
         inequalities.checks[0],
         inequalities,

@@ -844,7 +844,7 @@ def test_fivefolds_that_reached_the_residue_table_pinned():
         ws = WeightSystem.of(map(int, weights.split(",")), int(degree))
         lines.append(f"{spec} {classify(ws).verdict.value} {plan_cover_universal(ws)!r}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "7422b6707f69516b2fb3939607cd1c687ce4ff46cbe7b9b472665e3598c78918"
+    assert digest == "cc2d572cfb0c882252875348db5380ce600a05f5e0b0056fa6c382b9c9c6efee"
 
 
 def test_well_formedness_stays_linear():
