@@ -28,6 +28,7 @@ from .monomial import (
     star_condition_at,
 )
 from .stability import (
+    COVER_ASSUMPTION,
     MEMBER_ANY,
     MEMBER_FERMAT,
     MEMBER_GENERAL,
@@ -141,8 +142,7 @@ def alpha(ws: str) -> None:
         click.echo("alpha: unavailable (no smooth cover established)")
         return
     click.echo(f"alpha >= {bound.value} (case {bound.case_tag})")
-    for assumption in bound.assumptions:
-        click.echo(f"assumption: {assumption}")
+    click.echo(f"assumption: {COVER_ASSUMPTION}")
 
 
 @cli.command()

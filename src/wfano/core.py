@@ -221,31 +221,21 @@ class InequalityReport:
     """Exact evaluation of the pairwise threshold inequalities for one system.
 
     Every ordered pair (i, j), i != j, is routed to exactly one rule; on top of
-    the pairwise checks the report verifies c >= (n-1)/n and, when equality
-    holds, that the system has one of the two shapes for which equality is
-    attained: all weights 1 (degree n), or (1,...,1,2,a) of degree 2a.
+    the pairwise checks, c_bound_ok records that c > (n-1)/n, or that
+    c == (n-1)/n on one of the two shapes for which equality is attained: all
+    weights 1 (degree n), or (1,...,1,2,a) of degree 2a.  It is False when
+    the preconditions fail and nothing was checked.
     """
 
     system: WeightSystem
     precondition_errors: tuple[str, ...]
     checks: tuple[InequalityCheck, ...]
     c_value: Fraction | None = None
-    c_lower_bound: Fraction | None = None
-    c_equality_shape_ok: bool | None = None
+    c_bound_ok: bool = False
 
     @property
     def failures(self) -> tuple[InequalityCheck, ...]:
         return tuple(ch for ch in self.checks if not ch.ok)
-
-    @property
-    def c_bound_ok(self) -> bool:
-        if self.c_value is None or self.c_lower_bound is None:
-            return False
-        if self.c_value < self.c_lower_bound:
-            return False
-        if self.c_value == self.c_lower_bound:
-            return bool(self.c_equality_shape_ok)
-        return True
 
     @property
     def passed(self) -> bool:
@@ -287,15 +277,13 @@ def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
             else:
                 checks.append(InequalityCheck(RULE_GENERAL_PAIR, i, j, general[ai], minus[aj]))
 
-    n = ws.n
-    floor = Fraction(n - 1, n)
+    floor = Fraction(ws.n - 1, ws.n)
     return InequalityReport(
         system=ws,
         precondition_errors=(),
         checks=tuple(checks),
         c_value=c,
-        c_lower_bound=floor,
-        c_equality_shape_ok=boundary_shape(ws) is not None if c == floor else None,
+        c_bound_ok=c > floor or c == floor and boundary_shape(ws) is not None,
     )
 
 

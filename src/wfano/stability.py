@@ -89,11 +89,14 @@ SUPPORT_COVER_ASSUMPTION = "smooth cover exists for the given member"
 
 @dataclass(frozen=True, slots=True)
 class AlphaBound:
-    """A lower bound for the alpha invariant, not its value."""
+    """A lower bound for the alpha invariant, not its value.
+
+    It assumes a smooth cover: COVER_ASSUMPTION, or SUPPORT_COVER_ASSUMPTION
+    when the alpha_bound entry that derived it records cover_mode "support".
+    """
 
     value: Fraction
     case_tag: str
-    assumptions: tuple[str, ...]
 
     def to_json(self) -> dict:
         return {"num": self.value.numerator, "den": self.value.denominator, "case": self.case_tag}
@@ -110,11 +113,10 @@ def alpha_lower_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | N
     require_preconditions(ws, "alpha bound undefined for", index_one=True)
     if not cover_available:
         return None
-    assumptions = (COVER_ASSUMPTION,)
     star = star_case(ws)
     if star is None and ws.weights[0] >= 2:
-        return AlphaBound(Fraction(1), ALPHA_ALL_GE2, assumptions)
-    return AlphaBound(_threshold(ws.degree, star), ALPHA_GENERIC if star is None else ALPHA_STAR, assumptions)
+        return AlphaBound(Fraction(1), ALPHA_ALL_GE2)
+    return AlphaBound(_threshold(ws.degree, star), ALPHA_GENERIC if star is None else ALPHA_STAR)
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +190,21 @@ def _fermat_stability(ws: WeightSystem, finite: bool) -> FermatStability:
 class TraceEntry:
     """One applied criterion; conclusion and verdict recompute from inputs.
 
-    payload is the fact the evaluator computed for classify to read (a
-    CoverPlan, an AlphaBound or None, a finiteness flag); it is not compared.
-    A later entry that needs such a fact records it among its inputs.
+    cite is read from the criterion table.  payload is the fact the evaluator
+    computed for classify to read (a CoverPlan, an AlphaBound or None, a
+    finiteness flag); it is not compared.  A later entry that needs such a
+    fact records it among its inputs.
     """
 
     criterion: str
-    cite: str
     inputs: dict
     conclusion: str
     verdict: Verdict | None = None
     payload: Any = field(default=None, compare=False, repr=False)
+
+    @property
+    def cite(self) -> str:
+        return _CRITERIA[self.criterion][0]
 
 
 # an evaluator maps the recorded system, checked against the standing hypotheses
@@ -231,7 +237,9 @@ def make_entry(criterion: str, inputs: dict, system: WeightSystem | None = None)
     ValueError when a check fails or the record is malformed."""
     if criterion not in _CRITERIA:
         raise KeyError(f"unregistered criterion {criterion!r}")
-    cite, evaluate = _CRITERIA[criterion]
+    if not isinstance(inputs, dict):
+        raise ValueError(f"malformed {criterion} record: inputs {inputs!r} are not a dict")
+    evaluate = _CRITERIA[criterion][1]
     try:
         if system is None and criterion not in (CRIT_AUT, CRIT_KE):
             system = WeightSystem.of(inputs["weights"], inputs["degree"])
@@ -244,7 +252,7 @@ def make_entry(criterion: str, inputs: dict, system: WeightSystem | None = None)
         conclusion, verdict, payload = evaluate(system, inputs)
     except (KeyError, TypeError) as exc:  # a missing key or a value of the wrong shape
         raise ValueError(f"malformed {criterion} record: {exc!r}") from exc
-    return TraceEntry(criterion, cite, dict(inputs), conclusion, verdict, payload)
+    return TraceEntry(criterion, dict(inputs), conclusion, verdict, payload)
 
 
 def recompute_entry(entry: TraceEntry) -> tuple[str, Verdict | None]:
@@ -342,15 +350,8 @@ def _eval_alpha_bound(
     mode = _recorded(inputs, "cover_mode", str, COVER_MODES)
     if bound is None:
         return ("alpha bound unavailable without a smooth cover", None, None)
-    if mode == "support":
-        bound = AlphaBound(bound.value, bound.case_tag, (SUPPORT_COVER_ASSUMPTION,))
-    return (
-        f"alpha >= {bound.value} (case {bound.case_tag}; assuming: "
-        + "; ".join(bound.assumptions)
-        + ")",
-        None,
-        bound,
-    )
+    assumption = SUPPORT_COVER_ASSUMPTION if mode == "support" else COVER_ASSUMPTION
+    return (f"alpha >= {bound.value} (case {bound.case_tag}; assuming: {assumption})", None, bound)
 
 
 def _eval_alpha_above_threshold(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
@@ -477,16 +478,25 @@ _CRITERIA: dict[str, tuple[str, Evaluator]] = {
 
 @dataclass(frozen=True, slots=True)
 class StabilityReport:
-    """The joined verdict for one member class of one system, the trace it
-    joins, and the alpha bound and finiteness flag that classify read from
-    that trace (None when no entry gave them)."""
+    """The joined verdict for one member class of one system and the trace it
+    joins; alpha and aut_finite are the payloads of the trace's alpha_bound
+    and aut_finiteness entries (None when no such entry gave one)."""
 
     system: WeightSystem
     member_class: str
     verdict: Verdict
-    alpha: AlphaBound | None
-    aut_finite: bool | None
     trace: tuple[TraceEntry, ...]
+
+    @property
+    def alpha(self) -> AlphaBound | None:
+        return self._payload(CRIT_ALPHA)
+
+    @property
+    def aut_finite(self) -> bool | None:
+        return self._payload(CRIT_AUT)
+
+    def _payload(self, criterion: str) -> Any:
+        return next((e.payload for e in self.trace if e.criterion == criterion), None)
 
 
 def classify(
@@ -512,8 +522,6 @@ def classify(
     # it as its checked system
     base = {"weights": list(ws.weights), "degree": ws.degree}
     entries: list[TraceEntry] = []
-    alpha: AlphaBound | None = None
-    finite: bool | None = None
 
     if member_class == MEMBER_GENERAL:
         entries.append(make_entry(CRIT_INDEX_VS_DIM, base, ws))
@@ -522,8 +530,7 @@ def classify(
         entries.append(
             make_entry(CRIT_AUT, {"weights": list(ws.weights), "multidegree": [ws.degree]})
         )
-        finite = entries[-1].payload
-        entries.append(make_entry(CRIT_FERMAT, dict(base, aut_finite=finite), ws))
+        entries.append(make_entry(CRIT_FERMAT, dict(base, aut_finite=entries[-1].payload), ws))
 
     if ws.index == 1 and ws.well_formed:
         entries.append(make_entry(CRIT_COVER, dict(base, mode="universal"), ws))
@@ -548,22 +555,16 @@ def classify(
     verdict = join_verdicts(entry.verdict for entry in entries)
     if verdict is Verdict.K_STABLE:
         entries.append(make_entry(CRIT_KE, {}))
-    return StabilityReport(
-        system=ws,
-        member_class=member_class,
-        verdict=verdict,
-        alpha=alpha,
-        aut_finite=finite,
-        trace=tuple(entries),
-    )
+    return StabilityReport(system=ws, member_class=member_class, verdict=verdict, trace=tuple(entries))
 
 
 def report_to_json(report: StabilityReport) -> dict:
+    alpha = report.alpha
     return {
         "system": {"weights": list(report.system.weights), "degree": report.system.degree},
         "member_class": report.member_class,
         "verdict": report.verdict.value,
-        "alpha": report.alpha.to_json() if report.alpha is not None else None,
+        "alpha": alpha.to_json() if alpha is not None else None,
         "aut_finite": report.aut_finite,
         "trace": [
             {"criterion": e.criterion, "cite": e.cite, "conclusion": e.conclusion}

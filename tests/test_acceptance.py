@@ -111,7 +111,7 @@ def test_c04_inequality_suite(surface_catalog, threefold_catalog, fourfold_catal
             report = check_lemma_ineq(ws)
             assert report.passed, ws
             checked += 1
-            if report.c_value == report.c_lower_bound:
+            if report.c_value == Fraction(ws.n - 1, ws.n):
                 equality.add(ws)
     elapsed = time.perf_counter() - start
     assert checked == 4 + 30 + 661

@@ -202,14 +202,13 @@ def naive_check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
                 rule = RULE_GENERAL_PAIR
             checks.append(InequalityCheck(rule, i, j, lhs, rhs))
 
-    n = ws.n
+    floor = Fraction(ws.n - 1, ws.n)
     return InequalityReport(
         system=ws,
         precondition_errors=(),
         checks=tuple(checks),
         c_value=c,
-        c_lower_bound=Fraction(n - 1, n),
-        c_equality_shape_ok=boundary_shape(ws) is not None if c == Fraction(n - 1, n) else None,
+        c_bound_ok=c > floor or c == floor and boundary_shape(ws) is not None,
     )
 
 
@@ -231,7 +230,8 @@ class TestLemmaInequality:
         assert star_checks
         assert all(c.lhs == c.rhs for c in star_checks)
         assert report.c_value == Fraction(4, 5)
-        assert report.c_lower_bound == Fraction(3, 4)
+        assert report.c_value > Fraction(3, 4)  # the floor (n-1)/n
+        assert report.c_bound_ok
         assert report.passed
 
     def test_every_ordered_pair_checked(self):
@@ -245,8 +245,8 @@ class TestLemmaInequality:
         # boundary systems meet c == (n-1)/n exactly and still pass
         report = check_lemma_ineq(WeightSystem((1, 1, 2, 3), 6))
         assert report.c_value == Fraction(2, 3)
-        assert report.c_value == report.c_lower_bound
-        assert report.c_equality_shape_ok
+        assert report.c_value == Fraction(2, 3)  # the floor (n-1)/n
+        assert report.c_bound_ok
         assert report.passed
 
     def test_preconditions_block_checks(self):
@@ -264,7 +264,7 @@ class TestLemmaInequality:
         assert len(systems) == 695
         text = "\n".join(repr(check_lemma_ineq(ws)) for ws in systems)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == "d5f00add8766d068b385a2de3664b0dd7978843e0a81e1197991ee7cdc6ebf00"
+        assert digest == "4fe1a8da46a2496c721100d6bf9fe9eb0aacafd1f5091cd47e92fbb9cde1eb02"
 
 
 class TestSemigroupMembership:

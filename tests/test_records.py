@@ -5,6 +5,9 @@ pair of weights, so an instance dict on each would cost memory in proportion
 to the catalog.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from wfano import (
@@ -67,3 +70,23 @@ def test_built_records_have_no_instance_dict():
     assert [type(record) for record in records] == list(SLOTTED)
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def slotted_dataclasses_in_source() -> set[str]:
+    """Names of the classes in src/wfano decorated with @dataclass(..., slots=True)."""
+    names = set()
+    for path in (Path(__file__).parent.parent / "src" / "wfano").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Call)
+                and getattr(d.func, "id", None) == "dataclass"
+                and any(k.arg == "slots" and getattr(k.value, "value", None) is True for k in d.keywords)
+                for d in node.decorator_list
+            ):
+                names.add(node.name)
+    return names
+
+
+def test_every_slotted_dataclass_is_listed():
+    # the hand list above, and the count README gives, follow the source
+    assert slotted_dataclasses_in_source() == {cls.__name__ for cls in SLOTTED}

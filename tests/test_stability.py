@@ -21,7 +21,6 @@ from wfano import (
     ALPHA_ALL_GE2,
     ALPHA_GENERIC,
     ALPHA_STAR,
-    COVER_ASSUMPTION,
     MEMBER_ANY,
     MEMBER_CLASSES,
     MEMBER_FERMAT,
@@ -48,7 +47,7 @@ from wfano import (
     summary_to_json,
     threshold_c,
 )
-from wfano.stability import SUPPORT_COVER_ASSUMPTION, make_entry
+from wfano.stability import make_entry
 
 from conftest import FIXTURES
 
@@ -74,7 +73,6 @@ class TestAlphaLowerBound:
         bound = alpha_lower_bound(WeightSystem((1, 1, 2, 3, 6), 12), cover_available=True)
         assert bound.value == Fraction(5, 6)
         assert bound.case_tag == ALPHA_STAR
-        assert bound.assumptions == (COVER_ASSUMPTION,)
 
     def test_generic_case(self):
         bound = alpha_lower_bound(WeightSystem((1, 1, 1, 1), 3), cover_available=True)
@@ -358,7 +356,7 @@ class TestClassify:
         support = Support.of(X60_SYSTEM.weights, 60, [[20, 0, 0, 0, 0, 0]])
         with pytest.raises(ValueError, match=r"not quasi-smooth at the variables \[1\]"):
             classify(X60_SYSTEM, MEMBER_ANY, support=support)
-        entry = TraceEntry("smooth_cover", "", dict(support.to_json(), mode="support"), "")
+        entry = TraceEntry("smooth_cover", dict(support.to_json(), mode="support"), "")
         with pytest.raises(ValueError, match="not quasi-smooth"):
             recompute_entry(entry)
 
@@ -366,8 +364,8 @@ class TestClassify:
         # the Fermat support plan succeeds where the universal plan fails
         report = classify(X60_SYSTEM, MEMBER_ANY, support=fermat_support(X60_SYSTEM))
         assert report.verdict is Verdict.K_STABLE
-        assert report.alpha.assumptions == (SUPPORT_COVER_ASSUMPTION,)
         alpha = next(e for e in report.trace if e.criterion == "alpha_bound")
+        assert alpha.inputs["cover_mode"] == "support"
         assert alpha.conclusion == (
             "alpha >= 1 (case all_weights_ge2; assuming: smooth cover exists for the given member)"
         )
@@ -416,7 +414,7 @@ WEIGHT_ENTRIES = [
 
 def _recompute_on_sextic(criterion: str, **inputs):
     """Recompute an entry of criterion recorded on 1,1,2,3:6 with the given inputs."""
-    return recompute_entry(TraceEntry(criterion, "", dict(inputs, weights=[1, 1, 2, 3], degree=6), ""))
+    return recompute_entry(TraceEntry(criterion, dict(inputs, weights=[1, 1, 2, 3], degree=6), ""))
 
 
 class TestTraceRecompute:
@@ -452,7 +450,7 @@ class TestTraceRecompute:
         self, criterion, extra, weights, degree
     ):
         # 1,1,1:6 has index -3 < dim 1: ungated, index_vs_dimension would call it k_stable
-        entry = TraceEntry(criterion, "", dict(extra, weights=list(weights), degree=degree), "")
+        entry = TraceEntry(criterion, dict(extra, weights=list(weights), degree=degree), "")
         with pytest.raises(ValueError, match="not positive|divide|linear cone"):
             recompute_entry(entry)
 
@@ -469,7 +467,7 @@ class TestTraceRecompute:
         # index 1 and well-formedness, checked with the bound's own message
         inputs = {"weights": list(weights), "degree": degree, "cover_available": True}
         with pytest.raises(ValueError, match=f"^{message}$"):
-            recompute_entry(TraceEntry("alpha_bound", "", inputs, ""))
+            recompute_entry(TraceEntry("alpha_bound", inputs, ""))
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_entry("alpha_bound", inputs)
 
@@ -603,8 +601,17 @@ class TestTraceRecompute:
         with pytest.raises(ValueError):
             make_entry(criterion, inputs)
 
+    @pytest.mark.parametrize("inputs", [None, [1], "x"], ids=["none", "list", "str"])
+    @pytest.mark.parametrize("criterion", registered_criteria())
+    def test_records_that_are_not_dicts_raise_value_error(self, criterion, inputs):
+        # kahler_einstein reads no inputs, so only the dict check can reject these
+        with pytest.raises(ValueError, match=f"^malformed {criterion} record"):
+            make_entry(criterion, inputs)
+        with pytest.raises(ValueError, match=f"^malformed {criterion} record"):
+            recompute_entry(TraceEntry(criterion, inputs, ""))
+
     def test_unregistered_criterion(self):
-        entry = TraceEntry("made_up", "", {}, "", None)
+        entry = TraceEntry("made_up", {}, "", None)
         with pytest.raises(KeyError, match="unregistered criterion 'made_up'"):
             recompute_entry(entry)
         with pytest.raises(KeyError, match="unregistered criterion 'made_up'"):
