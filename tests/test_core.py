@@ -244,7 +244,6 @@ class TestLemmaInequality:
     def test_equality_shape_accepted(self):
         # boundary systems meet c == (n-1)/n exactly and still pass
         report = check_lemma_ineq(WeightSystem((1, 1, 2, 3), 6))
-        assert report.c_value == Fraction(2, 3)
         assert report.c_value == Fraction(2, 3)  # the floor (n-1)/n
         assert report.c_bound_ok
         assert report.passed
