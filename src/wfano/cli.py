@@ -91,6 +91,8 @@ def cli() -> None:
 @_run
 def enumerate_cmd(dim: int, index: int, dmax: int | None, fmt: str, out: str | None) -> None:
     """List all systems of the given dimension and index."""
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
     query = EnumerationQuery(num_weights=dim + 2, index=index, d_max=dmax)
     text = render_table(enumerate_systems(query), format=fmt)
     if out is None:
@@ -208,7 +210,9 @@ def cover_plan(ws: str, support_path: str | None, universal: bool) -> None:
 @_run
 def verify_lemmas(dims: str) -> None:
     """Check the threshold inequalities over whole catalogs, plus the minimal triple gap."""
-    scope = [int(token) for token in dims.split(",") if token.strip()]
+    scope = list(dict.fromkeys(int(token) for token in dims.split(",") if token.strip()))
+    if min(scope, default=1) < 1:
+        raise ValueError(f"dimension must be at least 1, got {min(scope)}")
     total = 0
     violations = 0
     for dim in scope:

@@ -35,7 +35,9 @@ keeps lcm(L, b) = d by construction.  Dropping b keeps the lcm d exactly when
 lcm(L, c) = d, that is gcd(b/g, w) = 1.  Dropping b_j leaves L_j, the lcm of
 the prefix without b_j; when L_j = L the lcm stays d, and when L_j < L it
 must satisfy lcm(L_j, b, c) = d, that is gcd((b/g)*(L/L_j), L/g, w) = 1.
-The cofactors L/L_j > 1 are computed once per prefix.
+Once gcd(b/g, w) = 1, b/g is prime to X = gcd(L/g, w), so the condition is
+gcd(L/L_j, X) = 1.  A product is prime to X exactly when each factor is, so
+gcd(C, L/g, w) = 1, with C = prod(L/L_j) made once per prefix, decides all j.
 
 While the partial sum s is below 1, prefix values are bounded by
 b < m/(1 - s), where m counts the remaining slots: all later values are at
@@ -54,7 +56,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import attrgetter
 from pathlib import Path
 
 from .core import WeightSystem, precondition_errors
@@ -63,6 +66,8 @@ CATALOG_VERSION = 1
 
 # Filters every catalog applies; kept in the file envelope for format compatibility.
 _CATALOG_FILTERS = {"require_well_formed": True, "exclude_linear_cone": True}
+
+_CANONICAL = attrgetter("degree", "weights")  # WeightSystem's own order, compared in C
 
 
 class CatalogError(ValueError):
@@ -124,8 +129,8 @@ def _lcm_systems(num_weights: int, index: int, d_max: int | None) -> list[Weight
             hi = d_max
         if d_max is not None and hi > d_max:
             hi = d_max
-        # L / L_j > 1 for each distinct lcm L_j < L of the prefix without one b_j
-        cofactors = {big_l // lcm(*chosen[:j], *chosen[j + 1 :]) for j in range(len(chosen))} - {1}
+        # C = prod(L / L_j) over the lcms L_j of the prefix without one b_j
+        big_c = prod(big_l // lcm(*chosen[:j], *chosen[j + 1 :]) for j in range(len(chosen)))
         for b in range(lo, hi + 1):
             g = gcd(big_l, b)
             w = (b * p - big_l) // g + index
@@ -136,7 +141,7 @@ def _lcm_systems(num_weights: int, index: int, d_max: int | None) -> list[Weight
             if d % w or (d_max is not None and d > d_max):
                 continue
             k = b // g  # d/L, the gcd of the prefix weights
-            if gcd(k, w) == 1 and all(gcd(k * m, a_b, w) == 1 for m in cofactors):
+            if gcd(k, w) == 1 and gcd(big_c, a_b, w) == 1:
                 found.append(WeightSystem.of([d // q for q in chosen] + [a_b, w], d))
 
     def extend(chosen: list[int], slots: int, big_l: int, sigma: int) -> None:
@@ -188,7 +193,7 @@ def enumerate_systems(query: EnumerationQuery) -> EnumerationResult:
     if not _searchable(query):
         raise ValueError("enumeration with index > 1 is unbounded; an explicit d_max is required")
     systems = _lcm_systems(query.num_weights, query.index, query.d_max)
-    unique = sorted(set(systems))
+    unique = sorted(set(systems), key=_CANONICAL)
     for ws in unique:
         if not _in_query(ws, query):
             raise AssertionError(f"enumeration produced {ws.render()}, outside the query")
@@ -216,7 +221,7 @@ def enumerate_bruteforce(num_weights: int, index: int, a_max: int) -> Enumeratio
         if ws.is_linear_cone or not ws.well_formed:
             continue
         found.append(ws)
-    return EnumerationResult(query=query, systems=tuple(sorted(set(found))), complete=False)
+    return EnumerationResult(query=query, systems=tuple(sorted(set(found), key=_CANONICAL)), complete=False)
 
 
 def render_table(result: EnumerationResult, format: str = "md") -> str:
@@ -229,9 +234,10 @@ def render_table(result: EnumerationResult, format: str = "md") -> str:
         lines = ["weights\tdegree"]
         lines += [f"{' '.join(str(a) for a in ws.weights)}\t{ws.degree}" for ws in result.systems]
         return "\n".join(lines)
-    if format == "json":
-        payload = [{"weights": list(ws.weights), "degree": ws.degree} for ws in result.systems]
-        return json.dumps(payload, indent=2)
+    if format == "json":  # json.dumps of the {"weights", "degree"} dicts at indent=2, byte for byte
+        row = '  {\n    "weights": [\n      %s\n    ],\n    "degree": %d\n  }'
+        rows = [row % (",\n      ".join(map(str, ws.weights)), ws.degree) for ws in result.systems]
+        return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
     raise ValueError(f"unknown format {format!r}; expected md, tsv, or json")
 
 
@@ -278,7 +284,7 @@ def load_catalog(path: str | Path, query: EnumerationQuery | None = None) -> Enu
         raise CatalogError(f"catalog schema error: {exc}") from exc
     if not _searchable(stored_query):
         raise CatalogError(f"catalog query {stored_query} has index > 1 and no d_max; no search answers it")
-    if list(systems) != sorted(set(systems)):
+    if list(systems) != sorted(set(systems), key=_CANONICAL):
         raise CatalogError("catalog systems are not in canonical sorted order")
     if complete and not _exhaustive(stored_query):
         raise CatalogError(f"catalog is marked complete, but {stored_query} is not index 1 without d_max")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output text, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -91,6 +92,18 @@ class TestEnumerate:
         result = runner.invoke(cli, ["enumerate", "--dim", "2", "--index", "2"])
         assert result.exit_code == 2
         assert "d_max is required" in result.output
+
+    def test_dim_zero_names_the_dimension(self, runner):
+        result = runner.invoke(cli, ["enumerate", "--dim", "0", "--index", "1"])
+        assert result.exit_code == 2
+        assert result.output == "error: dimension must be at least 1, got 0\n"
+
+    def test_fourfold_json_pinned(self, runner):
+        result = runner.invoke(cli, ["enumerate", "--dim", "4", "--index", "1", "--format", "json"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode("utf-8")).hexdigest() == (
+            "3ad724bafc995bdcef6d26e27eb947195a01b185d88dadc19038ee7c97c7b8c4"
+        )
 
     def test_index_two_bounded(self, runner):
         result = runner.invoke(
@@ -382,6 +395,19 @@ class TestVerifyLemmas:
         result = runner.invoke(cli, ["verify-lemmas", "--dims", "2"])
         assert result.exit_code == 0
         assert "dims 2: 4 systems checked, 0 violations" in result.output
+
+    def test_repeated_dims_count_once(self, runner):
+        result = runner.invoke(cli, ["verify-lemmas", "--dims", "2,2"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "dims 2: 4 systems checked, 0 violations",
+            "minimal non-representable triple gap up to 30: 48 at (3, 4, 5)",
+        ]
+
+    def test_dim_zero_names_the_dimension(self, runner):
+        result = runner.invoke(cli, ["verify-lemmas", "--dims", "0"])
+        assert result.exit_code == 2
+        assert result.output == "error: dimension must be at least 1, got 0\n"
 
     def test_empty_dims(self, runner):
         result = runner.invoke(cli, ["verify-lemmas", "--dims", ""])

@@ -124,6 +124,20 @@ def test_large_dmax_catalogs_pinned(num_weights, index, d_max, count, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.slow
+def test_fivefold_catalog_pinned():
+    result = enumerate_systems(EnumerationQuery(num_weights=7, index=1))
+    assert len(result.systems) == 49647
+    text = repr(sorted(result.systems))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "410c8307dd901f86690ca3d761308c0491ae21f4641ea95a7976750d33e99609"
+    )
+    table = render_table(result, "json")
+    assert hashlib.sha256(table.encode("utf-8")).hexdigest() == (
+        "e4cdc78c9e40549b470cf4af7ef6c052fe2c879d23a2c540610a4613f4a1df15"
+    )
+
+
 @pytest.mark.parametrize("num_weights, count", [(6, 77), (7, 155)])
 def test_index_one_dmax_matches_bruteforce(num_weights, count):
     bounded = enumerate_systems(EnumerationQuery(num_weights=num_weights, index=1, d_max=40))
@@ -186,12 +200,21 @@ def test_render_json_round_trips(surface_catalog):
     ]
 
 
+@pytest.mark.parametrize(
+    "num_weights, index, d_max", [(4, 1, None), (5, 1, None), (6, 1, None), (5, 2, 3000)]
+)
+def test_render_json_is_json_dumps(num_weights, index, d_max):
+    result = enumerate_systems(EnumerationQuery(num_weights=num_weights, index=index, d_max=d_max))
+    payload = [{"weights": list(ws.weights), "degree": ws.degree} for ws in result.systems]
+    assert render_table(result, format="json") == json.dumps(payload, indent=2)
+
+
 def test_render_empty_result():
     empty = enumerate_systems(EnumerationQuery(num_weights=4, index=1, d_max=2))
     assert empty.systems == ()
     assert render_table(empty, format="tsv") == "weights\tdegree"
     assert render_table(empty, format="md") == "weights | degree\n--- | ---"
-    assert json.loads(render_table(empty, format="json")) == []
+    assert render_table(empty, format="json") == "[]"
 
 
 def test_render_unknown_format(surface_catalog):
