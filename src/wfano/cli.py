@@ -95,6 +95,8 @@ def enumerate_cmd(dim: int, index: int, dmax: int | None, fmt: str, out: str | N
         raise ValueError(f"dimension must be at least 1, got {dim}")
     if dmax is not None and dmax < 1:
         raise ValueError(f"--dmax must be at least 1, got {dmax}")
+    if index > 1 and dmax is None:
+        raise ValueError("--index above 1 needs --dmax")
     query = EnumerationQuery(num_weights=dim + 2, index=index, d_max=dmax)
     text = render_table(enumerate_systems(query), format=fmt)
     if out is None:

@@ -93,7 +93,7 @@ class TestEnumerate:
     def test_index_two_needs_dmax(self, runner):
         result = runner.invoke(cli, ["enumerate", "--dim", "2", "--index", "2"])
         assert result.exit_code == 2
-        assert "d_max is required" in result.output
+        assert result.output == "error: --index above 1 needs --dmax\n"
 
     def test_dim_zero_names_the_dimension(self, runner):
         result = runner.invoke(cli, ["enumerate", "--dim", "0", "--index", "1"])

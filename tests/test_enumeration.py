@@ -2,7 +2,8 @@
 
 import hashlib
 import json
-from math import lcm
+from collections import Counter
+from math import inf, lcm
 
 import pytest
 
@@ -15,6 +16,7 @@ from wfano import (
     check_lemma_ineq,
     enumerate_bruteforce,
     enumerate_systems,
+    enumeration,
     load_catalog,
     render_table,
     save_catalog,
@@ -107,17 +109,18 @@ def test_bruteforce_slices_reach_every_window():
     assert signs == {-1, 0, 1}
 
 
-@pytest.mark.parametrize(
-    "num_weights, index, d_max, count, digest",
-    [
-        (4, 2, 3000, 1504, "f7432678c7cdf604803130dd9d6e4dad9a526cb1c19e5c49ba99e795345730b0"),
-        (5, 2, 3000, 2335, "e8cfddd4d92d1f00a0953b23b8f3a12bec3d38d7e36850fabb1e8c9d518fcd8a"),
-        (6, 2, 600, 1876, "fa5b3549fcb699be70b74c5a75cf401520c8bba3eedbd46856dc01f38953bfb3"),
-        (5, 3, 600, 441, "5f69de006e26a0881b260156fcf6cc41517cadcdafce39d740322137e264e680"),
-        (6, 3, 300, 754, "fec6c0469edf1cd2fa6e34266ff58f04d1ece7da7614b39ea08f0e814cc72052"),
-        (6, 4, 400, 1511, "328752258561927e8b04bc3bff9c5546efc88df11ee96dc2c973f0f51034f3c1"),
-    ],
-)
+# (num_weights, index, d_max, count, SHA-256 of the JSON table) of catalogs too large for the oracle
+LARGE_DMAX_PINS = [
+    (4, 2, 3000, 1504, "f7432678c7cdf604803130dd9d6e4dad9a526cb1c19e5c49ba99e795345730b0"),
+    (5, 2, 3000, 2335, "e8cfddd4d92d1f00a0953b23b8f3a12bec3d38d7e36850fabb1e8c9d518fcd8a"),
+    (6, 2, 600, 1876, "fa5b3549fcb699be70b74c5a75cf401520c8bba3eedbd46856dc01f38953bfb3"),
+    (5, 3, 600, 441, "5f69de006e26a0881b260156fcf6cc41517cadcdafce39d740322137e264e680"),
+    (6, 3, 300, 754, "fec6c0469edf1cd2fa6e34266ff58f04d1ece7da7614b39ea08f0e814cc72052"),
+    (6, 4, 400, 1511, "328752258561927e8b04bc3bff9c5546efc88df11ee96dc2c973f0f51034f3c1"),
+]
+
+
+@pytest.mark.parametrize("num_weights, index, d_max, count, digest", LARGE_DMAX_PINS)
 def test_large_dmax_catalogs_pinned(num_weights, index, d_max, count, digest):
     result = enumerate_systems(EnumerationQuery(num_weights=num_weights, index=index, d_max=d_max))
     assert len(result.systems) == count
@@ -125,7 +128,6 @@ def test_large_dmax_catalogs_pinned(num_weights, index, d_max, count, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
-@pytest.mark.slow
 def test_fivefold_catalog_pinned():
     result = enumerate_systems(EnumerationQuery(num_weights=7, index=1))
     assert len(result.systems) == 49647
@@ -140,13 +142,51 @@ def test_fivefold_catalog_pinned():
     assert all(check_lemma_ineq(ws).passed for ws in result.systems)
 
 
-@pytest.mark.parametrize("num_weights, count", [(6, 77), (7, 155)])
+INDEX_ONE_DMAX_SLICES = [(6, 77), (7, 155)]
+
+
+@pytest.mark.parametrize("num_weights, count", INDEX_ONE_DMAX_SLICES)
 def test_index_one_dmax_matches_bruteforce(num_weights, count):
     bounded = enumerate_systems(EnumerationQuery(num_weights=num_weights, index=1, d_max=40))
     assert len(bounded.systems) == count
     # no linear cones, so every weight of a degree <= 40 system is at most 20
     oracle = [ws for ws in enumerate_bruteforce(num_weights, 1, 20).systems if ws.degree <= 40]
     assert list(bounded.systems) == oracle
+
+
+@pytest.mark.parametrize("divisor_window", [0, inf], ids=["divisor_path", "scan_path"])
+def test_oracles_on_each_path(monkeypatch, divisor_window, surface_catalog, threefold_catalog, fourfold_catalog):
+    # a cutoff of 0 sends every window with P != 0 through the divisor pairs of L, one
+    # above every window sends none: each path alone passes every oracle and pin above
+    monkeypatch.setattr(enumeration, "DIVISOR_WINDOW", divisor_window)
+    for catalog in (surface_catalog, threefold_catalog, fourfold_catalog):
+        assert enumerate_systems(catalog.query) == catalog
+    for args in BRUTEFORCE_SLICES:
+        test_index_two_matches_bruteforce(*args)
+    test_bruteforce_slices_reach_every_window()
+    for args in INDEX_ONE_DMAX_SLICES:
+        test_index_one_dmax_matches_bruteforce(*args)
+    for args in LARGE_DMAX_PINS:
+        test_large_dmax_catalogs_pinned(*args)
+
+
+def test_default_cutoff_takes_both_paths(monkeypatch):
+    # of the 800 windows of the fourfold search, the 97 with hi - lo >= DIVISOR_WINDOW take divisor pairs
+    taken = Counter()
+
+    def counted(name):
+        pairs = getattr(enumeration, name)
+        return lambda *args: taken.update([name]) or pairs(*args)
+
+    for name in ("_divisor_pairs", "_scan_pairs"):
+        monkeypatch.setattr(enumeration, name, counted(name))
+    assert len(enumerate_systems(EnumerationQuery(num_weights=6, index=1)).systems) == 661
+    assert taken == {"_divisor_pairs": 97, "_scan_pairs": 703}
+
+
+def test_divisors_ascending():
+    for n in range(1, 500):
+        assert enumeration._divisors(n) == [x for x in range(1, n + 1) if n % x == 0]
 
 
 def test_bruteforce_small_window():
