@@ -6,7 +6,11 @@ weights are kept in canonical ascending order, every weight is required to
 divide the degree wherever a quotient b_i = d/a_i is used, and the Fano index
 is I = sum(a_i) - d (positive exactly in the Fano range).
 
-All verdict-relevant arithmetic is integer or fractions.Fraction; no floats.
+All verdict-relevant arithmetic is exact and no float is used.  Verdict
+decisions are integer comparisons (a ratio against a ratio is decided
+cross-multiplied over positive denominators); fractions.Fraction appears only
+in public values: AlphaBound.value, threshold_c, an InequalityReport's c_value
+and the sides of its checks.
 """
 
 from __future__ import annotations
@@ -166,13 +170,10 @@ def star_case(ws: WeightSystem) -> int | None:
     return None
 
 
-def _threshold(degree: int, star: int | None) -> Fraction:
-    return Fraction(degree - 1 if star is None else degree - 2, degree)
-
-
 def threshold_c(ws: WeightSystem) -> Fraction:
     """Threshold constant c: (d-2)/d in the star case, (d-1)/d otherwise."""
-    return _threshold(ws.degree, star_case(ws))
+    d = ws.degree
+    return Fraction(d - 1 if star_case(ws) is None else d - 2, d)
 
 
 SHAPE_ALL_ONES = "all_ones"
@@ -293,13 +294,14 @@ def check_lemma_ineq(ws: WeightSystem) -> InequalityReport:
         if lhs > rhs
     )
     c = threshold_c(ws)
-    floor = Fraction(ws.n - 1, ws.n)
+    # c against the floor (n-1)/n, cross-multiplied: both denominators are positive
+    excess = c.numerator * ws.n - (ws.n - 1) * c.denominator
     return InequalityReport(
         system=ws,
         precondition_errors=(),
         failures=failures,
         c_value=c,
-        c_bound_ok=c > floor or c == floor and boundary_shape(ws) is not None,
+        c_bound_ok=excess > 0 or excess == 0 and boundary_shape(ws) is not None,
     )
 
 

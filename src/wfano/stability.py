@@ -18,13 +18,13 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Any, Callable, Iterable, Sequence
 
 from .core import (
     SHAPE_ALL_ONES,
     SHAPE_STAR,
     WeightSystem,
-    _threshold,
     boundary_shape,
     require_preconditions,
     star_case,
@@ -91,15 +91,33 @@ SUPPORT_COVER_ASSUMPTION = "smooth cover exists for the given member"
 class AlphaBound:
     """A lower bound for the alpha invariant, not its value.
 
-    It assumes a smooth cover: COVER_ASSUMPTION, or SUPPORT_COVER_ASSUMPTION
-    when the alpha_bound entry that derived it records cover_mode "support".
+    It stores the bound's numerator and denominator in lowest terms (den >= 1)
+    and its case tag; value derives the bound as a Fraction.  It assumes a
+    smooth cover: COVER_ASSUMPTION, or SUPPORT_COVER_ASSUMPTION when the
+    alpha_bound entry that derived it records cover_mode "support".
     """
 
-    value: Fraction
+    num: int
+    den: int
     case_tag: str
 
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
     def to_json(self) -> dict:
-        return {"num": self.value.numerator, "den": self.value.denominator, "case": self.case_tag}
+        return {"num": self.num, "den": self.den, "case": self.case_tag}
+
+
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den >= 1, without building the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _exceeds_threshold(num: int, den: int, dim: int) -> bool:
+    """num/den > dim/(dim+1), cross-multiplied: den and dim + 1 are positive."""
+    return num * (dim + 1) > dim * den
 
 
 def alpha_lower_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | None:
@@ -109,14 +127,17 @@ def alpha_lower_bound(ws: WeightSystem, cover_available: bool) -> AlphaBound | N
     is conditional and nothing is claimed.  The bound is the threshold
     constant threshold_c: (d-2)/d in the star case, (d-1)/d otherwise,
     upgraded to 1 outside the star case when every weight is at least 2.
+    Each is in lowest terms: (d-2)/d = (a-1)/a for the star degree d = 2a.
     """
     require_preconditions(ws, "alpha bound undefined for", index_one=True)
     if not cover_available:
         return None
     star = star_case(ws)
-    if star is None and ws.weights[0] >= 2:
-        return AlphaBound(Fraction(1), ALPHA_ALL_GE2)
-    return AlphaBound(_threshold(ws.degree, star), ALPHA_GENERIC if star is None else ALPHA_STAR)
+    if star is not None:
+        return AlphaBound(star - 1, star, ALPHA_STAR)
+    if ws.weights[0] >= 2:
+        return AlphaBound(1, 1, ALPHA_ALL_GE2)
+    return AlphaBound(ws.degree - 1, ws.degree, ALPHA_GENERIC)
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +372,19 @@ def _eval_alpha_bound(
     if bound is None:
         return ("alpha bound unavailable without a smooth cover", None, None)
     assumption = SUPPORT_COVER_ASSUMPTION if mode == "support" else COVER_ASSUMPTION
-    return (f"alpha >= {bound.value} (case {bound.case_tag}; assuming: {assumption})", None, bound)
+    return (
+        f"alpha >= {_ratio(bound.num, bound.den)} (case {bound.case_tag}; assuming: {assumption})",
+        None,
+        bound,
+    )
 
 
 def _eval_alpha_above_threshold(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
     num, den = _recorded(inputs["alpha"], "num", int), _recorded(inputs["alpha"], "den", int)
     if den < 1:
         raise ValueError(f"recorded alpha den must be positive, got {den}")
-    bound = Fraction(num, den)
-    threshold = Fraction(ws.dim, ws.dim + 1)
-    if bound > threshold:
+    bound, threshold = _ratio(num, den), _ratio(ws.dim, ws.dim + 1)
+    if _exceeds_threshold(num, den, ws.dim):
         return (
             f"alpha >= {bound} > dim/(dim+1) = {threshold}; the member is K-stable",
             Verdict.K_STABLE,
@@ -376,7 +400,7 @@ def _eval_alpha_above_threshold(ws: WeightSystem, inputs: dict) -> tuple[str, Ve
 def _eval_alpha_boundary_smooth(ws: WeightSystem, inputs: dict) -> tuple[str, Verdict | None, None]:
     if boundary_shape(ws) != SHAPE_ALL_ONES:
         return ("not the all-ones boundary shape; criterion silent", None, None)
-    threshold = Fraction(ws.dim, ws.dim + 1)
+    threshold = _ratio(ws.dim, ws.dim + 1)
     if ws.dim < 2:
         # the conic is P^1: alpha = 1/2 = dim/(dim+1), K-polystable but not K-stable
         return (
@@ -405,7 +429,7 @@ def _eval_alpha_boundary_star_parity(
             None,
         )
     a = ws.degree // 2
-    threshold = Fraction(ws.dim, ws.dim + 1)
+    threshold = _ratio(ws.dim, ws.dim + 1)
     if a % 2 == 1:
         return (
             f"boundary case alpha = {threshold} with a = {a} odd: the member is smooth "
@@ -541,7 +565,7 @@ def classify(
         entries.append(make_entry(CRIT_ALPHA, inputs, ws))
         alpha = entries[-1].payload
         if alpha is not None:
-            if alpha.value > Fraction(ws.dim, ws.dim + 1):
+            if _exceeds_threshold(alpha.num, alpha.den, ws.dim):
                 above = dict(base, alpha=alpha.to_json())
                 entries.append(make_entry(CRIT_ALPHA_THRESHOLD, above, ws))
             else:

@@ -730,6 +730,105 @@ class TestHypothesisWork:
         }
 
 
+def _count_fraction_work(monkeypatch) -> Counter:
+    """Count the Fractions core and stability build, compare and format."""
+    counts: Counter = Counter()
+
+    class CountedFraction(Fraction):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            counts["builds"] += 1
+            return super().__new__(cls, *args, **kwargs)
+
+        def __str__(self):
+            counts["formats"] += 1
+            return super().__str__()
+
+        __hash__ = Fraction.__hash__
+
+    def counted(name):
+        compare = getattr(Fraction, name)
+
+        def inner(self, other):
+            counts["comparisons"] += 1
+            return compare(self, other)
+
+        return inner
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        setattr(CountedFraction, name, counted(name))
+    monkeypatch.setattr(core, "Fraction", CountedFraction)
+    monkeypatch.setattr(wfano.stability, "Fraction", CountedFraction)
+    return counts
+
+
+class TestFractionWork:
+    """Verdicts are integer comparisons: a Fraction is built only for a public value."""
+
+    def test_counter_sees_the_public_values(self, monkeypatch):
+        counts = _count_fraction_work(monkeypatch)
+        ws = WeightSystem((1, 1, 2, 3, 6), 12)
+        value = alpha_lower_bound(ws, cover_available=True).value
+        assert str(value) == "5/6" and value == threshold_c(ws)
+        assert counts == {"builds": 2, "comparisons": 1, "formats": 1}
+
+    def test_classify_pass_builds_no_fraction(self, fourfold_catalog, monkeypatch):
+        # the classify4 benchmark traffic: 2,610 builds, 1,304 comparisons and
+        # 1,957 formats when the thresholds were decided on Fractions
+        counts = _count_fraction_work(monkeypatch)
+        for ws in fourfold_catalog.systems:
+            report_to_json(classify(ws))
+        assert counts == {}
+
+    def test_verify_pass_builds_only_the_lemma_constant(self, fourfold_catalog, monkeypatch):
+        # the verify4 benchmark traffic (5,889 / 2,618 / 3,914 on Fractions):
+        # only the lemma report's public c_value is built
+        counts = _count_fraction_work(monkeypatch)
+        for ws in fourfold_catalog.systems:
+            for entry in classify(ws, MEMBER_FERMAT).trace:
+                recompute_entry(entry)
+            assert core.check_lemma_ineq(ws).passed
+        assert counts == {"builds": 661}
+
+
+def _parent_alpha_above_threshold(num: int, den: int, dim: int) -> tuple[str, Verdict | None]:
+    """The alpha_above_threshold evaluator restated on Fractions."""
+    bound, threshold = Fraction(num, den), Fraction(dim, dim + 1)
+    if bound > threshold:
+        return (
+            f"alpha >= {bound} > dim/(dim+1) = {threshold}; the member is K-stable",
+            Verdict.K_STABLE,
+        )
+    return (f"alpha bound {bound} does not exceed dim/(dim+1) = {threshold}; criterion silent", None)
+
+
+class TestRecordedAlphaOracle:
+    """Recorded alphas, unreduced, zero and negative ones included, print and
+    decide as their Fractions do."""
+
+    @given(st.integers(-60, 60), st.integers(1, 60))
+    def test_ratio_prints_as_fraction(self, num, den):
+        assert wfano.stability._ratio(num, den) == str(Fraction(num, den))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-60, 60), st.integers(1, 60), st.integers(1, 8))
+    def test_tampered_threshold_entry_matches_fraction_evaluator(self, num, den, dim):
+        # (1,...,1 : dim+1) meets the standing hypotheses in every dimension
+        inputs = {"weights": [1] * (dim + 2), "degree": dim + 1,
+                  "alpha": {"num": num, "den": den, "case": ALPHA_GENERIC}}
+        entry = TraceEntry("alpha_above_threshold", inputs, "")
+        assert recompute_entry(entry) == _parent_alpha_above_threshold(num, den, dim)
+
+    def test_unreduced_alpha_prints_reduced(self):
+        entry = make_entry(
+            "alpha_above_threshold",
+            {"weights": [1, 1, 2, 3, 6], "degree": 12, "alpha": {"num": 10, "den": 12, "case": ALPHA_STAR}},
+        )
+        assert entry.conclusion == "alpha >= 5/6 > dim/(dim+1) = 3/4; the member is K-stable"
+        assert wfano.stability._ratio(10, 12) == "5/6"
+
+
 class TestReportJson:
     def test_schema(self):
         report = classify(WeightSystem((1, 1, 2, 3, 6), 12), MEMBER_FERMAT)
